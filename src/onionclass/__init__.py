@@ -8,13 +8,11 @@ from .scalars import (
     QuadExt,
 )
 from .errors import (
-    AllLeadingZero,
     BadCut,
     BadDimension,
     EmptyEnsemble,
     FamilyMismatch,
     FormatMismatch,
-    InterpolationInconsistent,
     NoCanonicalRepresentative,
     NotBipartite,
     NotInSection,

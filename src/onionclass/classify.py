@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedFormat,
     WrongFormat,
 )
-from .hyperdet import det3, det322, det4, generic4_state
+from .hyperdet import binary_form_coeffs, det3, det322, det4, generic4_state
 from .scalars import (
     DEFAULT_TOL,
     EXACT,
@@ -33,12 +33,14 @@ from .scalars import (
     as_float,
     exact_sqrt,
     is_exact,
+    scalar_is_zero,
 )
 from .tensor import (
     StateTensor,
     apply_local,
     compress_party,
     cut_rank,
+    det_scale,
     flatten,
     from_terms,
     local_operators,
@@ -101,18 +103,6 @@ class ClassLabel:
     local_ranks: tuple[int, ...]
     onion_level: int
     diagnostics: dict = field(default_factory=dict, compare=False)
-
-
-def _det_scale(state: StateTensor, degree: int) -> float:
-    if state.field_tag == EXACT:
-        return 1.0
-    return state.scale() ** degree
-
-
-def _is_zero(value, scale: float, tol: float) -> bool:
-    if is_exact(value):
-        return not value
-    return approx_zero(as_float(value), scale, tol)
 
 
 class _BoundaryWatch:
@@ -182,10 +172,10 @@ def _classify_3qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> C
         name = f"B{ones[0] + 1}"
     else:
         value = det3(state)
-        scale = _det_scale(state, 4)
+        scale = det_scale(state, 4)
         watch.check(value, scale)
         diag["det"] = value
-        name = "GHZ" if not _is_zero(value, scale, tol) else "W"
+        name = "GHZ" if not scalar_is_zero(value, scale, tol) else "W"
     diag["boundary_warning"] = watch.warn
     return ClassLabel(QUBIT3, name, ranks, ONION_LEVELS[QUBIT3][name], diag)
 
@@ -196,10 +186,10 @@ def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> Clas
     name = None
     if ranks[0] == 3:
         value = det322(state)
-        scale = _det_scale(state, 6)
+        scale = det_scale(state, 6)
         watch.check(value, scale)
         diag["det"] = value
-        name = "GEN322" if not _is_zero(value, scale, tol) else "DEG322"
+        name = "GEN322" if not scalar_is_zero(value, scale, tol) else "DEG322"
     else:
         reduced, rank, _ = compress_party(state, 0, tol)
         if rank == 1:
@@ -214,19 +204,19 @@ def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> Clas
             # rank estimate, so fall back to the full-rank rule
             value = det322(state)
             diag["det"] = value
-            name = "GEN322" if not _is_zero(value, _det_scale(state, 6), tol) else "DEG322"
+            name = "GEN322" if not scalar_is_zero(value, det_scale(state, 6), tol) else "DEG322"
             ranks = (3,) + ranks[1:]
     diag["boundary_warning"] = watch.warn
     return ClassLabel(FORMAT322, name, ranks, ONION_LEVELS[FORMAT322][name], diag)
 
 
 def _classify_4qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> ClassLabel:
-    value = det4(state, tol)
-    scale = _det_scale(state, 24)
+    value = det4(state)
+    scale = det_scale(state, 24)
     watch.check(value, scale)
     ranks = _ranks_with_watch(state, watch, tol)
     diag: dict = {"det": value, "local_ranks": ranks}
-    if not _is_zero(value, scale, tol):
+    if not scalar_is_zero(value, scale, tol):
         diag["boundary_warning"] = watch.warn
         return ClassLabel(QUBIT4, "GENERIC4", ranks, 0, diag)
     cuts = [(p,) for p in range(4)] + [(0, 1), (0, 2), (0, 3)]
@@ -377,17 +367,6 @@ def _slices_party0(state: StateTensor):
     return [[a[0], a[1]], [a[2], a[3]]], [[a[4], a[5]], [a[6], a[7]]]
 
 
-def _pencil_coeffs(state: StateTensor):
-    """(c0, c1, c2) of det(x0 A0 + x1 A1) for the party-0 slice pencil."""
-    a0, a1 = _slices_party0(state)
-    det = lambda m: m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    c0 = det(a0)
-    c2 = det(a1)
-    both = [[a0[i][j] + a1[i][j] for j in range(2)] for i in range(2)]
-    c1 = det(both) - c0 - c2
-    return c0, c1, c2
-
-
 def _rank1_factors(m, exact: bool, tol: float):
     """Column/row factorization v w^T of a rank-1 2x2 matrix."""
     if exact:
@@ -510,7 +489,7 @@ def _canon_ghz(state: StateTensor, exact: bool, tol: float):
     zero = GaussianRational(0) if exact else 0.0 + 0j
     work = state
     pre = [[one, zero], [zero, one]]
-    c0, c1, c2 = _pencil_coeffs(work)
+    c0, c1, c2 = binary_form_coeffs(work).coeffs
     twist = 1
     while (not c2) if exact else approx_zero(
         as_float(c2), max(abs(as_float(c)) for c in (c0, c1, c2)), tol
@@ -518,7 +497,7 @@ def _canon_ghz(state: StateTensor, exact: bool, tol: float):
         # determinant-1 pre-twist moves the pencil root away from infinity
         work = _unipotent_party0(work, twist)
         pre = _matmul2([[one, zero], [twist * one, one]], pre)
-        c0, c1, c2 = _pencil_coeffs(work)
+        c0, c1, c2 = binary_form_coeffs(work).coeffs
         twist += 1
         if twist > 8:
             raise RuntimeError("pencil leading coefficient stayed zero")
@@ -539,7 +518,7 @@ def _canon_ghz(state: StateTensor, exact: bool, tol: float):
 
 
 def _canon_w(state: StateTensor, exact: bool, tol: float):
-    c0, c1, c2 = _pencil_coeffs(state)
+    c0, c1, c2 = binary_form_coeffs(state).coeffs
     scale = 1.0 if exact else max(abs(as_float(c)) for c in (c0, c1, c2))
     if (not c2) if exact else approx_zero(as_float(c2), scale, tol):
         u = (c2 * 0, c2 * 0 + 1)

@@ -29,7 +29,7 @@ from .documents import (
     state_document,
 )
 from .errors import OnionError, UnsupportedFormat
-from .scalars import DEFAULT_TOL, EXACT, FLOAT
+from .scalars import DEFAULT_TOL, EXACT, FLOAT, scalar_is_zero
 
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
@@ -116,17 +116,16 @@ def cmd_classify(input_path, output, tol):
 def cmd_hyperdet(input_path, output, tol):
     """Evaluate the hyperdeterminant of a state document."""
     state = parse_state_document(_read_document(input_path))
-    result = hyperdet(state, tol)
+    result = hyperdet(state)
     report = {
         "defined": result.defined,
         "value": scalar_json(result.value),
         "degree": result.degree,
         "format": list(result.format),
     }
-    if (
-        state.field_tag == FLOAT
-        and state.format == (2, 2, 2, 2)
-        and abs(result.value) < 1e-6
+    # near zero: inside classify's zero band or the decade above it
+    if state.field_tag == FLOAT and state.format == (2, 2, 2, 2) and scalar_is_zero(
+        result.value, tensor_mod.det_scale(state, 24), 10 * tol
     ):
         report["warning"] = (
             "degree-24 float evaluation is ill-conditioned near zero; use exact mode"
@@ -149,7 +148,7 @@ def cmd_invariants(input_path, output, tol):
         "separability": [list(b) for b in tensor_mod.separability_pattern(state, tol)],
     }
     try:
-        result = hyperdet(state, tol)
+        result = hyperdet(state)
         report["hyperdet"] = {
             "defined": result.defined,
             "value": scalar_json(result.value),

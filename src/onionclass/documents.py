@@ -30,12 +30,19 @@ def _frac_str(f: Fraction) -> str:
 
 
 def parse_state_document(doc) -> StateTensor:
-    """Build a StateTensor from its JSON document, validating the schema."""
+    """Build a StateTensor from its JSON document, validating the schema.
+
+    An optional integer "seed" key, as written by the random command, is
+    accepted and ignored.
+    """
     if not isinstance(doc, dict):
         raise DocumentInvalid("state document must be a JSON object")
-    unknown = set(doc) - {"format", "amplitudes", "mode"}
+    unknown = set(doc) - {"format", "amplitudes", "mode", "seed"}
     if unknown:
         raise DocumentInvalid(f"unknown state document keys {sorted(unknown)}")
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise DocumentInvalid(f"seed must be an integer, got {seed!r}")
     fmt = doc.get("format")
     amps = doc.get("amplitudes")
     mode = doc.get("mode")

@@ -37,14 +37,6 @@ class UnsupportedFormat(OnionError):
     """No evaluation rule is implemented for this format."""
 
 
-class InterpolationInconsistent(OnionError):
-    """Interpolated pencil coefficients disagree with the direct slice value."""
-
-
-class AllLeadingZero(OnionError):
-    """Leading pencil coefficient stayed zero through every retry."""
-
-
 class NotInSection(OnionError):
     """State is not inside the tangent section the operation expects."""
 

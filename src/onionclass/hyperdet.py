@@ -2,52 +2,27 @@
 
 Explicit polynomials cover the 2x2, 2x2x2, and 3x2x2 formats; the 2x2x2x2
 value is produced by the Schlafli lift, the discriminant of the binary
-quartic obtained by pairing the first party with an auxiliary 2-vector.
-Calibration constants pin the lift to the explicit ground-truth formulas,
-removing any sign or scale ambiguity.
+quartic det3(x0 A0 + x1 A1) of the party-0 slice pencil, taken as the
+resultant of the quartic's two partial derivatives.  Calibration constants
+pin the lift to the explicit ground-truth formulas, removing any sign or
+scale ambiguity.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    AllLeadingZero,
-    InterpolationInconsistent,
-    SizeMismatch,
-    UnsupportedFormat,
-    WrongFormat,
-)
-from .scalars import (
-    DEFAULT_TOL,
-    EXACT,
-    GaussianRational,
-    approx_zero,
-    as_exact,
-    as_float,
-    is_exact,
-)
-from .tensor import (
-    LocalOperatorTuple,
-    ProductVector,
-    StateTensor,
-    apply_local,
-    local_operators,
-    new_state,
-)
+from .errors import SizeMismatch, UnsupportedFormat, WrongFormat
+from .scalars import EXACT, GaussianRational, as_exact, as_float, is_exact
+from .tensor import ProductVector, StateTensor, new_state
 
 #: Degree of homogeneity of the hyperdeterminant per supported format.
 DEGREES = {(2, 2): 2, (2, 2, 2): 4, (3, 2, 2): 6, (2, 2, 2, 2): 24}
-
-_RETRY_SEED = 0x51CA
-_RETRY_LIMIT = 8
 
 
 def _require_format(state: StateTensor, fmt: tuple[int, ...]):
@@ -152,169 +127,97 @@ def three_tangle(state: StateTensor):
 class BinaryFormCoefficients:
     """Coefficients c0..cl of the slice pencil determinant.
 
-    c_j is the coefficient of x0^(l-j) x1^j in base_det(x0 A0 + x1 A1),
-    where A0, A1 are the two party-0 slices.  The source state and base
-    determinant are kept so a degenerate leading coefficient can be
-    repaired by re-deriving from a twisted tensor.
+    c_j is the coefficient of x0^(l-j) x1^j in Det(x0 A0 + x1 A1), where
+    A0, A1 are the two party-0 slices and Det is det2 for 2x2x2 states and
+    det3 for 2x2x2x2 states.
     """
 
     degree: int
     coeffs: tuple
-    source: StateTensor | None = None
-    base_det: Callable | None = None
 
 
-def _slice_state(state: StateTensor, index: int) -> StateTensor:
-    block = state.size // state.format[0]
-    return StateTensor(
-        state.format[1:],
-        state.amplitudes[index * block : (index + 1) * block],
-        state.field_tag,
-    )
+def _det(m):
+    """Determinant of a 2x2 matrix given row-major as four entries."""
+    return m[0] * m[3] - m[1] * m[2]
 
 
-def binary_form_coeffs(state: StateTensor, base_det: Callable, tol: float = DEFAULT_TOL) -> BinaryFormCoefficients:
-    """Recover the pencil coefficients by interpolation at integer nodes.
+def _polar(m, n):
+    """Mixed term of det(M + tN) = det M + _polar(M, N) t + det N t^2."""
+    return m[0] * n[3] + n[0] * m[3] - m[1] * n[2] - n[1] * m[2]
 
-    The dehomogenized pencil value base_det(A0 + t A1) is sampled at
-    t = 0..l and the Vandermonde system solved; the leading coefficient is
-    then read directly from base_det(A1) (exactly equal in exact mode,
-    checked against the interpolation in float mode).
+
+def _poly_mul(p, q):
+    """Product of two polynomials given as ascending coefficient sequences."""
+    out = [p[0] * 0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def binary_form_coeffs(state: StateTensor) -> BinaryFormCoefficients:
+    """Expand the party-0 slice pencil of a 2x2x2 or 2x2x2x2 state.
+
+    For 2x2x2 the pencil is det(A0 + t A1), a quadratic in t.  For
+    2x2x2x2 the pencil tensor A0 + t A1 is 2x2x2 with party-0 slices
+    M0 + t N0 and M1 + t N1, and Cayley's det3 of it is p1^2 - 4 p0 p2 with
+    p0 = det(M0 + t N0), p2 = det(M1 + t N1) and p1 their mixed term, all
+    quadratics in t.
     """
-    if state.format[0] != 2:
-        raise WrongFormat("the pencil party must have dimension 2")
-    slice_fmt = state.format[1:]
-    degree = DEGREES.get(slice_fmt)
-    if degree is None:
-        raise WrongFormat(f"no base determinant degree known for slice format {slice_fmt}")
-    a0 = _slice_state(state, 0)
-    a1 = _slice_state(state, 1)
-    exact = state.field_tag == EXACT
-    values = []
-    for t in range(degree + 1):
-        scalar_t = GaussianRational(t) if exact else complex(t)
-        combo = tuple(x + scalar_t * y for x, y in zip(a0.amplitudes, a1.amplitudes))
-        values.append(base_det(StateTensor(slice_fmt, combo, state.field_tag)))
-    direct = base_det(a1)
-    if exact:
-        vmat = [
-            [GaussianRational(t**k) for k in range(degree + 1)]
-            for t in range(degree + 1)
-        ]
-        coeffs = linalg.exact_solve(vmat, values)
-        assert coeffs[-1] == direct
-        coeffs[-1] = direct
+    a = state.amplitudes
+    if state.format == (2, 2, 2):
+        m, n = a[0:4], a[4:8]
+        coeffs = (_det(m), _polar(m, n), _det(n))
+    elif state.format == (2, 2, 2, 2):
+        m0, m1, n0, n1 = a[0:4], a[4:8], a[8:12], a[12:16]
+        p0 = (_det(m0), _polar(m0, n0), _det(n0))
+        p1 = (_polar(m0, m1), _polar(m0, n1) + _polar(n0, m1), _polar(n0, n1))
+        p2 = (_det(m1), _polar(m1, n1), _det(n1))
+        coeffs = tuple(u - 4 * v for u, v in zip(_poly_mul(p1, p1), _poly_mul(p0, p2)))
     else:
-        vmat = np.vander(np.arange(degree + 1, dtype=float), increasing=True)
-        solved = np.linalg.solve(vmat.astype(complex), np.array(values, dtype=complex))
-        coeffs = [complex(c) for c in solved]
-        scale = max(max(abs(c) for c in coeffs), abs(direct), 1e-300)
-        if abs(coeffs[-1] - direct) > math.sqrt(tol) * scale:
-            raise InterpolationInconsistent(
-                f"leading coefficient mismatch: {coeffs[-1]} vs direct {direct}"
-            )
-        coeffs[-1] = direct
-    return BinaryFormCoefficients(degree, tuple(coeffs), state, base_det)
-
-
-def sylvester_matrix(coeffs: Sequence):
-    """The order 2l-1 resultant-style matrix of the form and its derivative.
-
-    l-1 shifted rows of (c0 .. cl) sit above l shifted rows of
-    (1 c1, 2 c2, .., l cl).
-    """
-    cs = list(coeffs)
-    l = len(cs) - 1
-    if l < 2:
-        raise ValueError("need degree at least 2")
-    n = 2 * l - 1
-    zero = cs[0] * 0
-    m = [[zero] * n for _ in range(n)]
-    for r in range(l - 1):
-        for j in range(l + 1):
-            m[r][r + j] = cs[j]
-    for r in range(l):
-        for j in range(1, l + 1):
-            m[l - 1 + r][r + j - 1] = cs[j] * j
-    return m
+        raise WrongFormat(f"no slice pencil for format {state.format}; expected 2x2x2 or 2x2x2x2")
+    return BinaryFormCoefficients(len(coeffs) - 1, coeffs)
 
 
 @dataclass(frozen=True)
 class LiftResult:
-    """Value of the Schlafli lift with degeneracy diagnostics."""
+    """Value of the Schlafli lift.
+
+    retries_used is always 0: the resultant needs no repair of a
+    vanishing leading coefficient.  The field stays for callers that
+    read it.
+    """
 
     value: object
-    degenerate_pencil: bool
-    retries_used: int
+    retries_used: int = 0
 
 
-def _det1_twist(rng) -> list:
-    """Random integer 2x2 matrix of determinant exactly 1, entries in -3..3."""
-    for _ in range(500):
-        a, b, c, d = (int(v) for v in rng.integers(-3, 4, size=4))
-        if a * d - b * c == 1:
-            return [[a, b], [c, d]]
-    raise RuntimeError("failed to draw a determinant-1 twist")
+def schlafli_lift(coeffs: BinaryFormCoefficients, calibration) -> LiftResult:
+    """calibration * Res(df/dx0, df/dx1) for f = sum_j c_j x0^(l-j) x1^j.
 
-
-def _identity_ops_with_party0(twist, fmt) -> LocalOperatorTuple:
-    mats = [twist]
-    for d in fmt[1:]:
-        mats.append([[1 if i == j else 0 for j in range(d)] for i in range(d)])
-    return local_operators(mats)
-
-
-def schlafli_lift(
-    coeffs: BinaryFormCoefficients,
-    calibration,
-    max_retries: int = _RETRY_LIMIT,
-    tol: float = DEFAULT_TOL,
-) -> LiftResult:
-    """Discriminant of the binary form, scaled by the calibration constant.
-
-    Computed as calibration * det(sylvester) / c_l.  A zero leading
-    coefficient is repaired by acting on the pencil party of the source
-    tensor with a random determinant-1 integer matrix (which leaves the
-    lifted value exactly invariant) and re-deriving the coefficients;
-    AllLeadingZero is raised once the retry budget is exhausted.  An
-    identically zero pencil short-circuits to value 0 with the
-    degenerate_pencil flag set.
+    The resultant is the determinant of the order 2l-2 Sylvester matrix of
+    the two partial derivatives, each of degree l-1: l-1 shifted rows of
+    ((l-j) c_j) above l-1 shifted rows of ((j+1) c_(j+1)).  It is a
+    polynomial in the c_j, so a zero leading coefficient or an identically
+    zero pencil needs no special case.
     """
-    current = coeffs
-    exact = all(is_exact(c) for c in current.coeffs)
-    zero = current.coeffs[0] * 0
-
-    def leading_is_zero(cs):
-        if exact:
-            return not cs[-1]
-        scale = max((abs(c) for c in cs), default=0.0)
-        return approx_zero(cs[-1], scale, tol) if scale else True
-
-    def pencil_is_zero(cs):
-        if exact:
-            return not any(cs)
-        scale = max((abs(c) for c in cs), default=0.0)
-        return scale == 0.0
-
-    if pencil_is_zero(current.coeffs):
-        return LiftResult(calibration * zero, True, 0)
-    retries = 0
-    while leading_is_zero(current.coeffs):
-        if current.source is None or current.base_det is None:
-            raise AllLeadingZero("leading coefficient is zero and no source tensor to retry from")
-        if retries >= max_retries:
-            raise AllLeadingZero(f"leading coefficient still zero after {retries} retries")
-        rng = np.random.default_rng(_RETRY_SEED + retries)
-        ops = _identity_ops_with_party0(_det1_twist(rng), current.source.format)
-        twisted = apply_local(current.source, ops)
-        current = binary_form_coeffs(twisted, current.base_det, tol)
-        retries += 1
-    m = sylvester_matrix(current.coeffs)
-    if exact:
-        det = linalg.exact_det(m)
+    cs = coeffs.coeffs
+    l = len(cs) - 1
+    if l < 2:
+        raise ValueError("need degree at least 2")
+    d0 = [(l - j) * cs[j] for j in range(l)]
+    d1 = [(j + 1) * cs[j + 1] for j in range(l)]
+    n = 2 * l - 2
+    zero = cs[0] * 0
+    m = [[zero] * n for _ in range(n)]
+    for r in range(l - 1):
+        m[r][r : r + l] = d0
+        m[l - 1 + r][r : r + l] = d1
+    if is_exact(cs[0]):
+        res = linalg.exact_det(m)
     else:
-        det = complex(np.linalg.det(linalg.float_matrix(m)))
-    return LiftResult(calibration * (det / current.coeffs[-1]), False, retries)
+        res = complex(np.linalg.det(linalg.float_matrix(m)))
+    return LiftResult(calibration * res)
 
 
 #: Calibration pinning the degree-2 lift to the explicit 2x2x2 polynomial.
@@ -322,7 +225,7 @@ K3 = GaussianRational(-1)
 
 #: Calibration pinning the degree-4 lift to the generic-family ground truth,
 #: fixed once from the exact evaluation at (2, 1, 1, 1).
-K4 = GaussianRational(Fraction(1, 256))
+K4 = GaussianRational(Fraction(1, 4096))
 
 
 def generic4_state(alpha, beta, gamma, delta, field_tag: str = EXACT) -> StateTensor:
@@ -357,11 +260,11 @@ def generic4_product(alpha, beta, gamma, delta, field_tag: str = EXACT):
     return result
 
 
-def det4(state: StateTensor, tol: float = DEFAULT_TOL):
+def det4(state: StateTensor):
     """Four-qubit hyperdeterminant of degree 24 via the Schlafli lift."""
     _require_format(state, (2, 2, 2, 2))
     calibration = K4 if state.field_tag == EXACT else complex(K4)
-    return schlafli_lift(binary_form_coeffs(state, det3, tol), calibration, tol=tol).value
+    return schlafli_lift(binary_form_coeffs(state), calibration).value
 
 
 @dataclass(frozen=True)
@@ -374,7 +277,7 @@ class HyperdetResult:
     format: tuple[int, ...]
 
 
-def hyperdet(state: StateTensor, tol: float = DEFAULT_TOL) -> HyperdetResult:
+def hyperdet(state: StateTensor) -> HyperdetResult:
     """Evaluate the hyperdeterminant of any supported format.
 
     Formats violating the polygon inequality (largest party dimension
@@ -390,7 +293,7 @@ def hyperdet(state: StateTensor, tol: float = DEFAULT_TOL) -> HyperdetResult:
     if fmt == (3, 2, 2):
         return HyperdetResult(True, det322(state), 6, fmt)
     if fmt == (2, 2, 2, 2):
-        return HyperdetResult(True, det4(state, tol), 24, fmt)
+        return HyperdetResult(True, det4(state), 24, fmt)
     ks = sorted((d - 1 for d in fmt), reverse=True)
     if len(ks) >= 2 and ks[0] > sum(ks[1:]):
         unit = GaussianRational(1) if state.field_tag == EXACT else 1.0 + 0j

@@ -33,7 +33,6 @@ from .hyperdet import (
     DEGREES,
     K3,
     binary_form_coeffs,
-    det2,
     det3,
     det322,
     det4,
@@ -112,9 +111,9 @@ def _scaled(state, lam):
 
 
 def check_lift_identity(level: str) -> CheckResult:
-    """Explicit 2x2x2 polynomial versus the calibrated degree-2 lift."""
+    """Cayley's explicit 2x2x2 polynomial versus K3 times the resultant lift."""
     trials = _counts(level, 100, 1000)
-    lift = lambda s: schlafli_lift(binary_form_coeffs(s, det2), K3).value
+    lift = lambda s: schlafli_lift(binary_form_coeffs(s), K3).value
     ok = oracle_mod.identity_check(det3, lift, (2, 2, 2), trials=trials, seed=101)
     return CheckResult("lift-identity-2x2x2", ok, f"{trials} exact trials, zero tolerance")
 

@@ -11,15 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInSection, WrongFormat
-from .scalars import DEFAULT_TOL, EXACT, scalar_is_zero
-from .tensor import StateTensor, compress_party, cut_rank
+from .scalars import DEFAULT_TOL, scalar_is_zero
+from .tensor import StateTensor, compress_party, cut_rank, det_scale
 from .hyperdet import det3, det322
-
-
-def _scale_power(state: StateTensor, degree: int) -> float:
-    if state.field_tag == EXACT:
-        return 1.0
-    return state.scale() ** degree
 
 
 def node_test_3qubit(state: StateTensor, party: int, tol: float = DEFAULT_TOL) -> bool:
@@ -63,7 +57,7 @@ def section_flags(state: StateTensor, tol: float = DEFAULT_TOL) -> SectionFlags:
     if state.format != (2, 2, 2):
         raise WrongFormat(f"expected format (2, 2, 2), got {state.format}")
     a = state.amplitudes
-    scale = 1.0 if state.field_tag == EXACT else state.scale()
+    scale = det_scale(state)
     zero = lambda v: scalar_is_zero(v, scale, tol)
     in_dual = zero(a[0]) and zero(a[1]) and zero(a[2]) and zero(a[4])
     in_node = in_dual and zero(a[3]) and zero(a[7])
@@ -104,7 +98,7 @@ def report(state: StateTensor, tol: float = DEFAULT_TOL) -> SingularityReport:
     """Assemble the full singularity report for a 2x2x2 or 3x2x2 state."""
     if state.format == (2, 2, 2):
         value = det3(state)
-        in_dual = scalar_is_zero(value, _scale_power(state, 4), tol)
+        in_dual = scalar_is_zero(value, det_scale(state, 4), tol)
         nodes = {p: node_test_3qubit(state, p, tol) for p in range(3)}
         cusp = any(nodes.values())
         hess = None
@@ -113,7 +107,7 @@ def report(state: StateTensor, tol: float = DEFAULT_TOL) -> SingularityReport:
         return SingularityReport(in_dual, nodes, cusp, hess)
     if state.format == (3, 2, 2):
         value = det322(state)
-        in_dual = scalar_is_zero(value, _scale_power(state, 6), tol)
+        in_dual = scalar_is_zero(value, det_scale(state, 6), tol)
         node0 = node_test_322(state, tol)
         cusp = False
         if node0:
@@ -122,6 +116,6 @@ def report(state: StateTensor, tol: float = DEFAULT_TOL) -> SingularityReport:
                 cusp = True
             else:
                 sub = det3(reduced)
-                cusp = scalar_is_zero(sub, _scale_power(reduced, 4), tol)
+                cusp = scalar_is_zero(sub, det_scale(reduced, 4), tol)
         return SingularityReport(in_dual, {0: node0}, cusp, None)
     raise WrongFormat(f"no singularity criteria for format {state.format}")

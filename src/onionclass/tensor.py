@@ -118,6 +118,17 @@ class LocalOperatorTuple:
         return all(self.invertible)
 
 
+def det_scale(state: StateTensor, degree: int = 1) -> float:
+    """Scale of a degree-`degree` invariant of the state, for scalar_is_zero.
+
+    Exact values test exactly, so the scale is 1; float values compare
+    against the largest amplitude magnitude to the power `degree`.
+    """
+    if state.field_tag == EXACT:
+        return 1.0
+    return state.scale() ** degree
+
+
 def product_vector(factors: Sequence[Sequence]) -> ProductVector:
     """Validate per-party coefficient vectors (each must be nonzero)."""
     packed = tuple(tuple(f) for f in factors)
@@ -279,19 +290,23 @@ def _coerce_entry(x):
 def local_operators(matrices: Sequence, tol: float = DEFAULT_TOL) -> LocalOperatorTuple:
     """Wrap per-party square matrices, caching determinants and flags.
 
-    Integer and Fraction entries are promoted to the exact field; float or
-    complex entries make the operator a float-mode operator.
+    Integer and Fraction entries are promoted to the exact field.  A float
+    or complex entry anywhere in the tuple makes every entry of every
+    operator a complex float, so a tuple is all exact or all float.
     """
+    mats = [tuple(tuple(_coerce_entry(x) for x in r) for r in mat) for mat in matrices]
+    exact = all(is_exact(x) for rows in mats for r in rows for x in r)
+    if not exact:
+        mats = [tuple(tuple(as_float(x) for x in r) for r in rows) for rows in mats]
     ops = []
     dets = []
     flags = []
-    for mat in matrices:
-        rows = tuple(tuple(_coerce_entry(x) for x in r) for r in mat)
+    for rows in mats:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise SizeMismatch("local operators must be square")
         ops.append(rows)
-        if all(is_exact(x) for r in rows for x in r):
+        if exact:
             det = linalg.exact_det([list(r) for r in rows])
             dets.append(det)
             flags.append(bool(det))

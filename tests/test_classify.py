@@ -249,3 +249,25 @@ def test_label_identity():
     b = ClassLabel(QUBIT3, "GHZ", (2, 2, 2), 0, {"extra": 1})
     assert a == b
     assert hash(a) == hash(b)
+
+
+def _random_complex_ops(rng, fmt):
+    return local_operators(
+        [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))).tolist() for d in fmt]
+    )
+
+
+def test_float_w4_pushed_is_degenerate(rng):
+    w4 = to_float(class_catalog(QUBIT4)["W4"])
+    for _ in range(20):
+        pushed = apply_local(w4, _random_complex_ops(rng, (2, 2, 2, 2)))
+        assert classify(pushed).name == "DEGENERATE4"
+
+
+def test_float_format322_pushed_keeps_label(rng):
+    for name, rep in class_catalog(FORMAT322).items():
+        for _ in range(5):
+            pushed = apply_local(to_float(rep), _random_complex_ops(rng, (3, 2, 2)))
+            label = classify(pushed)
+            assert label.name == name
+            assert label.local_ranks == RANKS_BY_NAME[FORMAT322][name]

@@ -59,6 +59,9 @@ def test_malformed_documents_never_panic():
         json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [["1/1", "0/1"]] * 4}),
         json.dumps({"format": [2, 2], "mode": "maybe", "amplitudes": []}),
         json.dumps({"format": "nope", "mode": "float", "amplitudes": []}),
+        json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[1, 0]] * 4, "seed": "7"}),
+        json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[1, 0]] * 4, "seed": 1.5}),
+        json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[1, 0]] * 4, "seed": True}),
     ]:
         result = _run(["classify"], stdin=bad)
         assert result.exit_code == 2, bad
@@ -76,6 +79,21 @@ def test_hyperdet_bell():
     result = _run(["hyperdet"], stdin=doc)
     payload = json.loads(result.output)
     assert payload == {"defined": True, "value": "1/1", "degree": 2, "format": [2, 2]}
+
+
+def test_hyperdet_float_degree24_warning():
+    def doc(terms, scale):
+        amps = [[0.0, 0.0]] * 16
+        for index, value in terms.items():
+            amps[int(index, 2)] = [scale * value, 0.0]
+        return json.dumps({"format": [2, 2, 2, 2], "mode": "float", "amplitudes": amps})
+
+    ghz4 = {"0000": 1, "1111": 1}
+    generic = {"0000": 2, "1111": 2, "0011": 1, "1100": 1, "0101": 1, "1010": 1, "0110": 1, "1001": 1}
+    # the band is relative: a large-norm degenerate state still warns, a
+    # small-norm generic one does not
+    assert "warning" in json.loads(_run(["hyperdet"], stdin=doc(ghz4, 10.0)).output)
+    assert "warning" not in json.loads(_run(["hyperdet"], stdin=doc(generic, 0.1)).output)
 
 
 def test_hyperdet_polygon_violation():
@@ -103,13 +121,13 @@ def test_random_round_trip_byte_stable():
     second = _run(["random", "2x2x2", "--seed", "7"]).output
     assert first == second
     doc = json.loads(first)
-    seed = doc.pop("seed")
-    assert seed == 7
+    assert doc["seed"] == 7
     state = parse_state_document(doc)
-    redoc = state_document(state)
-    assert redoc == doc
-    reclassified = _run(["classify"], stdin=json.dumps(redoc)).output
-    assert json.loads(reclassified)["name"] == "GHZ"
+    assert dict(state_document(state), seed=7) == doc
+    # the emitted document classifies as is, seed key included
+    reclassified = _run(["classify"], stdin=first)
+    assert reclassified.exit_code == 0
+    assert json.loads(reclassified.output)["name"] == "GHZ"
 
 
 def test_random_exact_mode():

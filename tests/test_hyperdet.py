@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from onionclass import (
-    AllLeadingZero,
     SizeMismatch,
     UnsupportedFormat,
     WrongFormat,
@@ -28,7 +27,7 @@ from onionclass import (
     three_tangle,
     to_float,
 )
-from onionclass.hyperdet import DEGREES, K3, K4, BinaryFormCoefficients, minors322
+from onionclass.hyperdet import DEGREES, K3, K4, minors322
 from onionclass.oracle import identity_check, random_rational_state
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible
@@ -86,37 +85,59 @@ def test_det322_examples():
 
 
 def test_binary_form_coeffs_examples(ghz):
-    coeffs = binary_form_coeffs(ghz, det2)
+    coeffs = binary_form_coeffs(ghz)
+    assert coeffs.degree == 2
     assert coeffs.coeffs == (GR(0), GR(1), GR(0))
     state = from_terms((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 1): 1})
-    assert binary_form_coeffs(state, det2).coeffs == (GR(1), GR(1), GR(0))
+    assert binary_form_coeffs(state).coeffs == (GR(1), GR(1), GR(0))
     prod = from_terms((2, 2, 2), {(0, 0, 0): 1})
-    assert binary_form_coeffs(prod, det2).coeffs == (GR(0), GR(0), GR(0))
+    assert binary_form_coeffs(prod).coeffs == (GR(0),) * 3
+    # the quartic det3(A0 + t A1) of GHZ4 is t^2: both end coefficients vanish
+    ghz4 = from_terms((2, 2, 2, 2), {(0, 0, 0, 0): 1, (1, 1, 1, 1): 1})
+    quartic = binary_form_coeffs(ghz4)
+    assert quartic.degree == 4
+    assert quartic.coeffs == (GR(0), GR(0), GR(1), GR(0), GR(0))
+    # the expansion agrees with det3 of the pencil at sample points
+    s4 = random_rational_state((2, 2, 2, 2), 41)
+    cs = binary_form_coeffs(s4).coeffs
+    for t in (GR(0), GR(2), GR(-1, 3)):
+        slice_t = exact_state((2, 2, 2), [x + t * y for x, y in zip(s4.amplitudes[:8], s4.amplitudes[8:])])
+        assert det3(slice_t) == sum((c * t**j for j, c in enumerate(cs)), GR(0))
     with pytest.raises(WrongFormat):
-        binary_form_coeffs(from_terms((3, 2, 2), {(0, 0, 0): 1}), det2)
+        binary_form_coeffs(from_terms((3, 2, 2), {(0, 0, 0): 1}))
 
 
 def test_schlafli_lift_examples(ghz):
-    # retry path: the GHZ pencil has a vanishing leading coefficient
-    res = schlafli_lift(binary_form_coeffs(ghz, det2), K3)
-    assert res.value == GR(1)
-    assert res.retries_used >= 1
+    # the GHZ pencil has c2 = 0 and lifts directly, with no retry
+    res = schlafli_lift(binary_form_coeffs(ghz), K3)
+    assert res.value == det3(ghz) == GR(1)
+    assert res.retries_used == 0
     state = from_terms((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 1): 1})
-    res = schlafli_lift(binary_form_coeffs(state, det2), K3)
-    assert res.value == det3(state) == GR(1)
-    # identically zero pencil reports the degenerate flag
+    assert schlafli_lift(binary_form_coeffs(state), K3).value == det3(state) == GR(1)
+    # identically zero pencils, quadratic and quartic
     prod = from_terms((2, 2, 2), {(0, 0, 0): 1})
-    res = schlafli_lift(binary_form_coeffs(prod, det2), K3)
-    assert res.value == GR(0)
-    assert res.degenerate_pencil
-    # a sourceless coefficient set cannot retry
-    orphan = BinaryFormCoefficients(2, (GR(1), GR(1), GR(0)))
-    with pytest.raises(AllLeadingZero):
-        schlafli_lift(orphan, K3)
+    assert schlafli_lift(binary_form_coeffs(prod), K3).value == GR(0)
+    prod4 = from_terms((2, 2, 2, 2), {(0, 0, 0, 0): 1})
+    assert binary_form_coeffs(prod4).coeffs == (GR(0),) * 5
+    assert det4(prod4) == GR(0)
+    # |0>|GHZ> + |1>|W> has the quartic x0^4 + 4 x0 x1^3, with c4 = 0; its
+    # discriminant from the quartic invariants is (4 I^3 - J^2) / 6912 = -27
+    c4_zero = from_terms(
+        (2, 2, 2, 2),
+        {(0, 0, 0, 0): 1, (0, 1, 1, 1): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1, (1, 1, 0, 0): 1},
+    )
+    assert binary_form_coeffs(c4_zero).coeffs == tuple(GR(v) for v in (1, 0, 0, 4, 0))
+    value = det4(c4_zero)
+    assert value == GR(-27)
+    # a determinant-1 twist of party 0 moves c4 off zero and keeps the value
+    twist = local_operators([[[1, 0], [1, 1]]] + [[[1, 0], [0, 1]]] * 3)
+    twisted = apply_local(c4_zero, twist)
+    assert binary_form_coeffs(twisted).coeffs[-1]
+    assert det4(twisted) == value
 
 
 def test_lift_identity_sample():
-    lift = lambda s: schlafli_lift(binary_form_coeffs(s, det2), K3).value
+    lift = lambda s: schlafli_lift(binary_form_coeffs(s), K3).value
     assert identity_check(det3, lift, (2, 2, 2), trials=60, seed=3)
 
 
@@ -130,8 +151,8 @@ def test_det4_family():
 
 def test_k4_regeneration():
     # the stored calibration equals the ratio at the pinned family point
-    raw = schlafli_lift(binary_form_coeffs(generic4_state(2, 1, 1, 1), det3), GR(1))
-    assert K4 == generic4_product(2, 1, 1, 1) / raw.value
+    raw = schlafli_lift(binary_form_coeffs(generic4_state(2, 1, 1, 1)), GR(1))
+    assert K4 == generic4_product(2, 1, 1, 1) / raw.value == GR(Fraction(1, 4096))
 
 
 def test_hyperdet_dispatch():
@@ -182,8 +203,31 @@ def test_det4_float_mode(rng):
         exact_value = complex(det4(state))
         float_value = det4(to_float(state))
         assert float_value == pytest.approx(exact_value, rel=1e-6, abs=1e-6)
-    # the retry path in float mode: the plain GHZ pencil starts degenerate
+    # the GHZ4 quartic has c0 = c4 = 0
     ghz4 = from_terms((2, 2, 2, 2), {(0, 0, 0, 0): 1.0, (1, 1, 1, 1): 1.0}, field_tag="float")
     assert det4(ghz4) == pytest.approx(0.0, abs=1e-9)
     family = generic4_state(2, 1, 1, 1, field_tag="float")
     assert det4(family) == pytest.approx(72900.0)
+
+
+def test_det4_float_pushed_generic_states(rng):
+    # Generic states pushed by random complex operators; every other one is
+    # |0>|GHZ> + |1>|W> pushed with an upper-triangular party-0 operator, so
+    # its quartic keeps c4 = 0 up to roundoff.  The float value must stay
+    # within 1e-6 relative of the exact value of the same amplitudes (floats
+    # are dyadic rationals, so Fraction reads them exactly).
+    c4_zero = from_terms(
+        (2, 2, 2, 2),
+        {(0, 0, 0, 0): 1, (0, 1, 1, 1): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1, (1, 1, 0, 0): 1},
+        field_tag="float",
+    )
+    generic = generic4_state(2, 1, 1, 1, field_tag="float")
+    for trial in range(100):
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
+        if trial % 2:
+            mats[0][1, 0] = 0
+        pushed = apply_local(c4_zero if trial % 2 else generic, local_operators([m.tolist() for m in mats]))
+        shadow = exact_state(
+            (2, 2, 2, 2), [GR(Fraction(a.real), Fraction(a.imag)) for a in pushed.amplitudes]
+        )
+        assert det4(pushed) == pytest.approx(complex(det4(shadow)), rel=1e-6)
