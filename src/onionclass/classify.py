@@ -27,9 +27,7 @@ from .scalars import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
-    GaussianRational,
     QuadExt,
-    approx_zero,
     as_float,
     exact_sqrt,
     is_exact,
@@ -351,62 +349,54 @@ def _inverse2(m):
             [_simplify(-m[1][0] / det), _simplify(m[0][0] / det)]]
 
 
+def _pivot(values, exact: bool) -> int:
+    """Index of the first nonzero entry (exact) or of the largest magnitude (float)."""
+    if exact:
+        return next(i for i, x in enumerate(values) if x)
+    return max(range(len(values)), key=lambda i: abs(values[i]))
+
+
 def _send_to_e0(vec, exact: bool):
     """Invertible 2x2 matrix mapping `vec` to the first basis vector."""
     v0, v1 = vec
-    big0 = bool(v0) if exact else abs(as_float(v0)) >= abs(as_float(v1))
-    if big0:
+    if _pivot(vec, exact) == 0:
         m = [[v0, v0 * 0], [v1, v0 / v0]]
     else:
         m = [[v0, v1 / v1], [v1, v1 * 0]]
     return _inverse2(m)
 
 
-def _slices_party0(state: StateTensor):
+def _pencil_root(c0, c1, c2, r, exact: bool):
+    """Root (x0, x1) of c0 x0^2 + c1 x0 x1 + c2 x1^2, given a square root r of the discriminant.
+
+    The two forms are proportional wherever both are nonzero; keeping the
+    larger is the stable quadratic formula, so a root at infinity (c2 = 0)
+    is an ordinary case.
+    """
+    forms = (2 * c2, r - c1, -c1 - r, 2 * c0)
+    k = 2 * (_pivot(forms, exact) // 2)
+    return forms[k], forms[k + 1]
+
+
+def _pencil_slice(state: StateTensor, x):
+    """The slice combination x0 A0 + x1 A1 of the party-0 pencil."""
     a = state.amplitudes
-    return [[a[0], a[1]], [a[2], a[3]]], [[a[4], a[5]], [a[6], a[7]]]
+    return [[x[0] * a[2 * i + j] + x[1] * a[4 + 2 * i + j] for j in range(2)] for i in range(2)]
 
 
-def _rank1_factors(m, exact: bool, tol: float):
+def _rank1_factors(m, exact: bool):
     """Column/row factorization v w^T of a rank-1 2x2 matrix."""
-    if exact:
-        pivot = next((i, j) for i in range(2) for j in range(2) if m[i][j])
-    else:
-        pivot = max(
-            ((i, j) for i in range(2) for j in range(2)),
-            key=lambda ij: abs(as_float(m[ij[0]][ij[1]])),
-        )
-    pi, pj = pivot
+    pi, pj = divmod(_pivot([m[0][0], m[0][1], m[1][0], m[1][1]], exact), 2)
     v = (m[0][pj], m[1][pj])
     w = (m[pi][0] / m[pi][pj], m[pi][1] / m[pi][pj])
     return v, w
 
 
-def _kernel_right(m, exact: bool):
-    """Right kernel direction of a rank-1 2x2 matrix."""
-    rows = [(m[0][0], m[0][1]), (m[1][0], m[1][1])]
-    if exact:
-        row = rows[0] if (rows[0][0] or rows[0][1]) else rows[1]
-    else:
-        row = max(rows, key=lambda r: abs(as_float(r[0])) + abs(as_float(r[1])))
-    return (-row[1], row[0])
-
-
-def _kernel_left(m, exact: bool):
-    cols = [(m[0][0], m[1][0]), (m[0][1], m[1][1])]
-    if exact:
-        col = cols[0] if (cols[0][0] or cols[0][1]) else cols[1]
-    else:
-        col = max(cols, key=lambda c: abs(as_float(c[0])) + abs(as_float(c[1])))
-    return (-col[1], col[0])
-
-
 def _first_row_completion(vec, exact: bool):
     """Invertible 2x2 matrix whose first row is `vec`."""
     v0, v1 = vec
-    use_v0 = bool(v0) if exact else abs(as_float(v0)) >= abs(as_float(v1))
     zero = v0 * 0
-    if use_v0:
+    if _pivot(vec, exact) == 0:
         return [[v0, v1], [zero, v0 / v0]]
     return [[v0, v1], [v1 / v1, zero]]
 
@@ -425,22 +415,18 @@ def canonicalize_3qubit(state: StateTensor, tol: float = DEFAULT_TOL):
     label = classify(state, tol)
     exact = state.field_tag == EXACT
     if label.name == "S":
-        ops = _canon_separable(state, exact, tol)
+        ops = _canon_separable(state, exact)
     elif label.name.startswith("B"):
-        ops = _canon_biseparable(state, int(label.name[1]) - 1, exact, tol)
+        ops = _canon_biseparable(state, int(label.name[1]) - 1, exact)
     elif label.name == "GHZ":
-        ops = _canon_ghz(state, exact, tol)
+        ops = _canon_ghz(state, exact)
     else:
         ops = _canon_w(state, exact, tol)
     return local_operators(ops, tol), label
 
 
-def _canon_separable(state: StateTensor, exact: bool, tol: float):
-    amps = state.amplitudes
-    if exact:
-        base = next(i for i, a in enumerate(amps) if a)
-    else:
-        base = max(range(len(amps)), key=lambda i: abs(as_float(amps[i])))
+def _canon_separable(state: StateTensor, exact: bool):
+    base = _pivot(state.amplitudes, exact)
     i0, j0, k0 = base >> 2, (base >> 1) & 1, base & 1
     u = (state.amplitude((0, j0, k0)), state.amplitude((1, j0, k0)))
     v = (state.amplitude((i0, 0, k0)), state.amplitude((i0, 1, k0)))
@@ -448,17 +434,10 @@ def _canon_separable(state: StateTensor, exact: bool, tol: float):
     return [_send_to_e0(u, exact), _send_to_e0(v, exact), _send_to_e0(w, exact)]
 
 
-def _canon_biseparable(state: StateTensor, party: int, exact: bool, tol: float):
+def _canon_biseparable(state: StateTensor, party: int, exact: bool):
     rows = flatten(state, [party])
-    if exact:
-        col = next(c for c in range(4) if rows[0][c] or rows[1][c])
-    else:
-        col = max(range(4), key=lambda c: abs(as_float(rows[0][c])) + abs(as_float(rows[1][c])))
+    col, i0 = divmod(_pivot([rows[i][c] for c in range(4) for i in range(2)], exact), 2)
     u = (rows[0][col], rows[1][col])
-    if exact:
-        i0 = 0 if u[0] else 1
-    else:
-        i0 = 0 if abs(as_float(u[0])) >= abs(as_float(u[1])) else 1
     others = [p for p in range(3) if p != party]
     block = [[None, None], [None, None]]
     for bi in range(2):
@@ -480,38 +459,14 @@ def _canon_biseparable(state: StateTensor, party: int, exact: bool, tol: float):
     return ops
 
 
-def _unipotent_party0(state: StateTensor, m: int):
-    return apply_local(state, local_operators([[[1, 0], [m, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]]))
-
-
-def _canon_ghz(state: StateTensor, exact: bool, tol: float):
-    one = GaussianRational(1) if exact else 1.0 + 0j
-    zero = GaussianRational(0) if exact else 0.0 + 0j
-    work = state
-    pre = [[one, zero], [zero, one]]
-    c0, c1, c2 = binary_form_coeffs(work).coeffs
-    twist = 1
-    while (not c2) if exact else approx_zero(
-        as_float(c2), max(abs(as_float(c)) for c in (c0, c1, c2)), tol
-    ):
-        # determinant-1 pre-twist moves the pencil root away from infinity
-        work = _unipotent_party0(work, twist)
-        pre = _matmul2([[one, zero], [twist * one, one]], pre)
-        c0, c1, c2 = binary_form_coeffs(work).coeffs
-        twist += 1
-        if twist > 8:
-            raise RuntimeError("pencil leading coefficient stayed zero")
+def _canon_ghz(state: StateTensor, exact: bool):
+    c0, c1, c2 = binary_form_coeffs(state).coeffs
     disc = c1 * c1 - 4 * c0 * c2
     root = exact_sqrt(disc) if exact else cmath.sqrt(disc)
-    t_plus = (-c1 + root) / (2 * c2)
-    t_minus = (-c1 - root) / (2 * c2)
-    a0, a1 = _slices_party0(work)
-    s_plus = [[a0[i][j] + t_plus * a1[i][j] for j in range(2)] for i in range(2)]
-    s_minus = [[a0[i][j] + t_minus * a1[i][j] for j in range(2)] for i in range(2)]
-    v0, w0 = _rank1_factors(s_plus, exact, tol)
-    v1, w1 = _rank1_factors(s_minus, exact, tol)
-    roots_matrix = [[one, t_plus], [one, t_minus]]
-    g0 = _matmul2(roots_matrix, pre)
+    # the two distinct pencil roots make the party-0 slices rank 1
+    g0 = [_pencil_root(c0, c1, c2, root, exact), _pencil_root(c0, c1, c2, -root, exact)]
+    v0, w0 = _rank1_factors(_pencil_slice(state, g0[0]), exact)
+    v1, w1 = _rank1_factors(_pencil_slice(state, g0[1]), exact)
     q = _inverse2([[v0[0], v1[0]], [v0[1], v1[1]]])
     r = _inverse2([[w0[0], w1[0]], [w0[1], w1[1]]])
     return [g0, q, r]
@@ -519,21 +474,14 @@ def _canon_ghz(state: StateTensor, exact: bool, tol: float):
 
 def _canon_w(state: StateTensor, exact: bool, tol: float):
     c0, c1, c2 = binary_form_coeffs(state).coeffs
-    scale = 1.0 if exact else max(abs(as_float(c)) for c in (c0, c1, c2))
-    if (not c2) if exact else approx_zero(as_float(c2), scale, tol):
-        u = (c2 * 0, c2 * 0 + 1)
-    else:
-        u = (c2 / c2, -c1 / (2 * c2))
-    a0, a1 = _slices_party0(state)
-    m_star = [[u[0] * a0[i][j] + u[1] * a1[i][j] for j in range(2)] for i in range(2)]
-    # at the double root the slice combination is rank 1 and its kernels
-    # complete the critical point; the rotated state lands in the tangent
-    # section with only a011, a101, a110, a111 populated
-    w_dir = _kernel_right(m_star, exact)
-    v_dir = _kernel_left(m_star, exact)
+    u = _pencil_root(c0, c1, c2, 0, exact)
+    # at the double root the slice combination v w^T is rank 1 and its
+    # kernels v-perp, w-perp complete the critical point; the rotated state
+    # lands in the tangent section with only a011, a101, a110, a111 populated
+    v, w = _rank1_factors(_pencil_slice(state, u), exact)
     g0 = _first_row_completion(u, exact)
-    g1 = _first_row_completion(v_dir, exact)
-    g2 = _first_row_completion(w_dir, exact)
+    g1 = _first_row_completion((-v[1], v[0]), exact)
+    g2 = _first_row_completion((-w[1], w[0]), exact)
     section = apply_local(state, local_operators([g0, g1, g2], tol), tol)
     a = section.amplitudes
     one = a[3] / a[3]

@@ -70,11 +70,10 @@ def det3(state: StateTensor):
 
 def _minor3(rows, drop_col: int):
     keep = [c for c in range(4) if c != drop_col]
-    sub = [[rows[r][c] for c in keep] for r in range(3)]
-    return linalg.exact_det(sub) if is_exact(sub[0][0]) else _det3x3_float(sub)
+    return _det3x3([[rows[r][c] for c in keep] for r in range(3)])
 
 
-def _det3x3_float(m):
+def _det3x3(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])

@@ -123,17 +123,6 @@ def exact_solve(a_rows, b_vec):
     return x
 
 
-def exact_inverse(rows):
-    """Inverse of a square exact matrix, raising ZeroDivisionError if singular."""
-    n = len(rows)
-    columns = []
-    for k in range(n):
-        unit = [r[0] * 0 for r in rows]
-        unit[k] = unit[k] + 1
-        columns.append(exact_solve(rows, unit))
-    return [[columns[j][i] for j in range(n)] for i in range(n)]
-
-
 def char_poly(rows):
     """Monic characteristic polynomial coefficients, ascending degree.
 

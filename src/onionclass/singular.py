@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import FORMAT322, ONION_LEVELS, classify
 from .errors import NotInSection, WrongFormat
 from .scalars import DEFAULT_TOL, scalar_is_zero
-from .tensor import StateTensor, compress_party, cut_rank, det_scale
-from .hyperdet import det3, det322
+from .tensor import StateTensor, cut_rank, det_scale
 
 
 def node_test_3qubit(state: StateTensor, party: int, tol: float = DEFAULT_TOL) -> bool:
@@ -95,27 +95,22 @@ class SingularityReport:
 
 
 def report(state: StateTensor, tol: float = DEFAULT_TOL) -> SingularityReport:
-    """Assemble the full singularity report for a 2x2x2 or 3x2x2 state."""
+    """Assemble the full singularity report for a 2x2x2 or 3x2x2 state.
+
+    The answers are read off the onion label: a state is in the dual
+    variety when its class lies below the generic one, a 2x2x2 node is a
+    local rank of at most 1, a 3x2x2 node a party-0 rank of at most 2, and
+    the 3x2x2 cusp holds the classes at or below W.
+    """
+    if state.format not in ((2, 2, 2), (3, 2, 2)):
+        raise WrongFormat(f"no singularity criteria for format {state.format}")
+    label = classify(state, tol)
+    in_dual = label.onion_level > 0
     if state.format == (2, 2, 2):
-        value = det3(state)
-        in_dual = scalar_is_zero(value, det_scale(state, 4), tol)
-        nodes = {p: node_test_3qubit(state, p, tol) for p in range(3)}
-        cusp = any(nodes.values())
+        nodes = {p: r <= 1 for p, r in enumerate(label.local_ranks)}
         hess = None
         if section_flags(state, tol).in_dual_section:
             hess = section_hessian(state, tol)[1]
-        return SingularityReport(in_dual, nodes, cusp, hess)
-    if state.format == (3, 2, 2):
-        value = det322(state)
-        in_dual = scalar_is_zero(value, det_scale(state, 6), tol)
-        node0 = node_test_322(state, tol)
-        cusp = False
-        if node0:
-            reduced, rank, _ = compress_party(state, 0, tol)
-            if rank <= 1:
-                cusp = True
-            else:
-                sub = det3(reduced)
-                cusp = scalar_is_zero(sub, det_scale(reduced, 4), tol)
-        return SingularityReport(in_dual, {0: node0}, cusp, None)
-    raise WrongFormat(f"no singularity criteria for format {state.format}")
+        return SingularityReport(in_dual, nodes, any(nodes.values()), hess)
+    cusp = label.onion_level >= ONION_LEVELS[FORMAT322]["W"]
+    return SingularityReport(in_dual, {0: label.local_ranks[0] <= 2}, cusp, None)

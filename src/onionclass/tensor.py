@@ -83,26 +83,10 @@ class ProductVector:
     def projectively_equal(self, other: "ProductVector", tol: float = DEFAULT_TOL) -> bool:
         if len(self.factors) != len(other.factors):
             return False
-        for mine, theirs in zip(self.factors, other.factors):
-            if len(mine) != len(theirs):
-                return False
-            if is_exact(mine[0]) and is_exact(theirs[0]):
-                pivot = next(i for i, x in enumerate(mine) if x)
-                if not theirs[pivot]:
-                    return False
-                ratio = mine[pivot] / theirs[pivot]
-                if any(mine[i] != theirs[i] * ratio for i in range(len(mine))):
-                    return False
-            else:
-                a = np.array([as_float(x) for x in mine])
-                b = np.array([as_float(x) for x in theirs])
-                pivot = int(np.argmax(np.abs(a)))
-                if approx_zero(b[pivot], float(np.abs(b).max()), tol):
-                    return False
-                ratio = a[pivot] / b[pivot]
-                if not np.allclose(a, b * ratio, rtol=10 * tol, atol=10 * tol * np.abs(a).max()):
-                    return False
-        return True
+        return all(
+            len(mine) == len(theirs) and _rays_equal(mine, theirs, tol)
+            for mine, theirs in zip(self.factors, other.factors)
+        )
 
 
 @dataclass(frozen=True)
@@ -462,14 +446,22 @@ def states_proportional(a: StateTensor, b: StateTensor, tol: float = DEFAULT_TOL
     """Whether two states are equal as rays (proportional amplitudes)."""
     if a.format != b.format:
         return False
-    if a.field_tag == EXACT and b.field_tag == EXACT:
-        pivot = next(i for i, x in enumerate(b.amplitudes) if x)
-        if not a.amplitudes[pivot]:
+    return _rays_equal(a.amplitudes, b.amplitudes, tol)
+
+
+def _rays_equal(a: Sequence, b: Sequence, tol: float) -> bool:
+    """Whether amplitude sequence `a` is a multiple of `b`.
+
+    The pivot is b's first nonzero entry (exact) or its largest (float).
+    """
+    if is_exact(a[0]) and is_exact(b[0]):
+        pivot = next(i for i, x in enumerate(b) if x)
+        if not a[pivot]:
             return False
-        ratio = a.amplitudes[pivot] / b.amplitudes[pivot]
-        return all(a.amplitudes[i] == b.amplitudes[i] * ratio for i in range(a.size))
-    va = np.array([as_float(x) for x in a.amplitudes])
-    vb = np.array([as_float(x) for x in b.amplitudes])
+        ratio = a[pivot] / b[pivot]
+        return all(x == y * ratio for x, y in zip(a, b))
+    va = np.array([as_float(x) for x in a])
+    vb = np.array([as_float(x) for x in b])
     pivot = int(np.argmax(np.abs(vb)))
     if va[pivot] == 0:
         return False

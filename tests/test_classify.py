@@ -200,6 +200,25 @@ def test_canonicalize_float_all_classes(rng):
             assert states_proportional(out, to_float(representative(label)), tol=1e-6)
 
 
+def test_canonicalize_float_root_near_infinity(rng):
+    # g0 puts a party-0 pencil root of the pushed GHZ state at x1/x0 = -1/eps,
+    # where the affine quadratic formula loses digits to cancellation
+    def rand_unitary():
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return np.linalg.qr(m)[0].tolist()
+
+    ghz = to_float(class_catalog(QUBIT3)["GHZ"])
+    for eps in (1e-6, 1e-7, 1e-8, 1e-9):
+        push = local_operators([[[1, 0.3], [eps, 1]], rand_unitary(), rand_unitary()])
+        state = apply_local(ghz, push)
+        ops, label = canonicalize_3qubit(state)
+        assert label.name == "GHZ"
+        out = np.array(apply_local(state, ops).amplitudes)
+        rep = np.array(to_float(representative(label)).amplitudes)
+        fitted = np.vdot(rep, out) / np.vdot(rep, rep) * rep
+        assert np.abs(out - fitted).max() / np.abs(out).max() <= 1e-12
+
+
 def test_canonicalize_extension_field_output():
     # a GHZ-class state whose pencil discriminant is not a perfect square
     from onionclass import QuadExt, det3
