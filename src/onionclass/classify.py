@@ -11,6 +11,7 @@ convertibility.  Class names keep the conventional 1-based party labels
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +182,6 @@ def _classify_3qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> C
 def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> ClassLabel:
     ranks = _ranks_with_watch(state, watch, tol)
     diag: dict = {"local_ranks": ranks}
-    name = None
     if ranks[0] == 3:
         value = det322(state)
         scale = det_scale(state, 6)
@@ -193,17 +193,10 @@ def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> Clas
         if rank == 1:
             block_rank = cut_rank(reduced, [0], tol)
             name = "B1" if block_rank == 2 else "S"
-        elif rank == 2:
+        else:
             inner = _classify_3qubit(reduced, watch, tol)
             diag["embedded_det"] = inner.diagnostics.get("det")
             name = inner.name
-        else:
-            # borderline float input: the compression disagreed with the
-            # rank estimate, so fall back to the full-rank rule
-            value = det322(state)
-            diag["det"] = value
-            name = "GEN322" if not scalar_is_zero(value, det_scale(state, 6), tol) else "DEG322"
-            ranks = (3,) + ranks[1:]
     diag["boundary_warning"] = watch.warn
     return ClassLabel(FORMAT322, name, ranks, ONION_LEVELS[FORMAT322][name], diag)
 
@@ -310,7 +303,9 @@ def reachable(frm, to, family: str | None = None) -> bool:
     if fam_a != fam_b:
         raise FamilyMismatch(f"cannot compare classes of families {fam_a!r} and {fam_b!r}")
     if fam_a == BIPARTITE:
-        return int(name_b[1:]) <= int(name_a[1:])
+        ranks = [re.fullmatch(r"S([1-9][0-9]*)", name) for name in (name_a, name_b)]
+        if all(ranks):
+            return int(ranks[1][1]) <= int(ranks[0][1])
     edges = _DAG_EDGES.get(fam_a)
     if edges is None or name_a not in edges or name_b not in edges:
         raise FamilyMismatch(f"unknown class names {name_a!r}, {name_b!r} for family {fam_a!r}")
@@ -489,8 +484,8 @@ def _canon_w(state: StateTensor, exact: bool, tol: float):
     d0 = [[1 / a[3], zero], [zero, one]]
     d1 = [[1 / a[5], zero], [zero, one]]
     d2 = [[1 / a[6], zero], [zero, one]]
-    scaled = apply_local(section, local_operators([d0, d1, d2], tol), tol)
-    s = scaled.amplitudes[7]
+    # each d_j is diag(1/a_x, 1), so it leaves a111 fixed: s is a111 of the section
+    s = a[7]
     kill = [[one, zero], [-s, one]]
     flip = [[zero, one], [one, zero]]
     stage0 = _matmul2(flip, _matmul2(kill, _matmul2(d0, g0)))

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import SizeMismatch, UnsupportedFormat, WrongFormat
 from .scalars import EXACT, GaussianRational, as_exact, as_float, is_exact
-from .tensor import ProductVector, StateTensor, new_state
+from .tensor import ProductVector, StateTensor, mode_product, new_state
 
 #: Degree of homogeneity of the hyperdeterminant per supported format.
 DEGREES = {(2, 2): 2, (2, 2, 2): 4, (3, 2, 2): 6, (2, 2, 2, 2): 24}
@@ -37,15 +37,11 @@ def pairing(state: StateTensor, x: ProductVector):
     for p, f in enumerate(x.factors):
         if len(f) != state.format[p]:
             raise SizeMismatch(f"factor {p} has length {len(f)}, expected {state.format[p]}")
-    acc = None
-    for multi in itertools.product(*(range(d) for d in state.format)):
-        term = state.amplitudes[state.offset(multi)]
-        if not term:
-            continue
-        for p, i in enumerate(multi):
-            term = term * x.factors[p][i]
-        acc = term if acc is None else acc + term
-    return state.amplitudes[0] * 0 if acc is None else acc
+    amps, fmt = state.amplitudes, state.format
+    for p, f in enumerate(x.factors):
+        amps = mode_product(amps, fmt, p, (f,))
+        fmt = fmt[:p] + (1,) + fmt[p + 1:]
+    return amps[0]
 
 
 def det2(state: StateTensor):
@@ -87,10 +83,7 @@ def det322(state: StateTensor):
     The m_j are the 3x3 minors of the party-0 flattening with column j
     removed.
     """
-    _require_format(state, (3, 2, 2))
-    a = state.amplitudes
-    rows = [[a[4 * r + c] for c in range(4)] for r in range(3)]
-    m1, m2, m3, m4 = (_minor3(rows, j) for j in range(4))
+    m1, m2, m3, m4 = minors322(state)
     return m1 * m4 - m2 * m3
 
 

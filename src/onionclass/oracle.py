@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SizeMismatch
 from .scalars import EXACT, GaussianRational, as_float
-from .tensor import ProductVector, StateTensor, new_state
+from .tensor import ProductVector, StateTensor, check_format, new_state
 
 _LETTERS = "abcdefgh"
 
@@ -238,15 +238,16 @@ def critical_point_search(
 
 def random_rational_state(format: Sequence[int], seed: int, bound: int = 9) -> StateTensor:
     """Random exact state with Gaussian-integer amplitudes in [-bound, bound]."""
+    fmt = check_format(format)
     rng = np.random.default_rng(seed)
-    size = math.prod(int(d) for d in format)
+    size = math.prod(fmt)
     while True:
         res = rng.integers(-bound, bound + 1, size=size)
         ims = rng.integers(-bound, bound + 1, size=size)
         if np.any(res) or np.any(ims):
             break
     amps = [GaussianRational(int(a), int(b)) for a, b in zip(res, ims)]
-    return new_state(format, amps, EXACT)
+    return new_state(fmt, amps, EXACT)
 
 
 def identity_check(

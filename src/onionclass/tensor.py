@@ -126,15 +126,21 @@ def _infer_field(amplitudes) -> str:
     return EXACT if all(is_exact(a) for a in amplitudes) else FLOAT
 
 
+def check_format(format: Sequence[int]) -> tuple[int, ...]:
+    """The format as a tuple of ints; BadDimension for a party dimension below 2."""
+    fmt = tuple(int(d) for d in format)
+    if any(d < 2 for d in fmt):
+        raise BadDimension(f"party dimensions must be at least 2, got {fmt}")
+    return fmt
+
+
 def new_state(format: Sequence[int], amplitudes: Sequence, field_tag: str | None = None) -> StateTensor:
     """Validate and build a state tensor.
 
     Raises BadDimension for party dimensions below 2, FormatMismatch when
     the amplitude count is off, and ZeroState for the all-zero tensor.
     """
-    fmt = tuple(int(d) for d in format)
-    if any(d < 2 for d in fmt):
-        raise BadDimension(f"party dimensions must be at least 2, got {fmt}")
+    fmt = check_format(format)
     amps = tuple(amplitudes)
     if len(amps) != math.prod(fmt):
         raise FormatMismatch(
@@ -304,6 +310,24 @@ def local_operators(matrices: Sequence, tol: float = DEFAULT_TOL) -> LocalOperat
     return LocalOperatorTuple(tuple(ops), tuple(dets), tuple(flags))
 
 
+def mode_product(amps: tuple, fmt: tuple[int, ...], party: int, matrix) -> tuple:
+    """Contract one party: b[.., i, ..] = sum_j matrix[i][j] a[.., j, ..].
+
+    Amplitudes are row-major, so the party's axis has stride
+    prod(fmt[party+1:]); its dimension becomes the number of rows of
+    `matrix`.
+    """
+    stride = math.prod(fmt[party + 1:])
+    dim = fmt[party]
+    out = []
+    for block in range(0, len(amps), dim * stride):
+        for row in matrix:
+            for r in range(block, block + stride):
+                terms = (row[j] * amps[r + j * stride] for j in range(1, dim))
+                out.append(sum(terms, row[0] * amps[r]))
+    return tuple(out)
+
+
 def apply_local(state: StateTensor, ops: LocalOperatorTuple, tol: float = DEFAULT_TOL) -> StateTensor:
     """Act with one operator per party: a'_i = sum_j g1[i1,j1]...gn[in,jn] a_j.
 
@@ -326,24 +350,13 @@ def apply_local(state: StateTensor, ops: LocalOperatorTuple, tol: float = DEFAUL
     else:
         matrices = ops.operators
     fmt = state.format
-    index_sets = [range(d) for d in fmt]
-    out = []
-    for i_multi in itertools.product(*index_sets):
-        acc = None
-        for j_multi in itertools.product(*index_sets):
-            term = state.amplitudes[state.offset(j_multi)]
-            if not term:
-                continue
-            for p in range(len(fmt)):
-                term = matrices[p][i_multi[p]][j_multi[p]] * term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = state.amplitudes[0] * 0
-        out.append(acc)
+    out = state.amplitudes
+    for p, mat in enumerate(matrices):
+        out = mode_product(out, fmt, p, mat)
     if state.field_tag == EXACT:
         if not any(out):
             raise ZeroState("state annihilated by a singular local operator")
-        return StateTensor(fmt, tuple(out), EXACT)
+        return StateTensor(fmt, out, EXACT)
     floats = tuple(as_float(a) for a in out)
     op_scale = 1.0
     for mat in ops.operators:
@@ -382,17 +395,6 @@ def separability_pattern(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[
     return tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
 
 
-def identity_operator(dim: int):
-    return [[GaussianRational(1) if i == j else GaussianRational(0) for j in range(dim)] for i in range(dim)]
-
-
-def operators_at_party(matrix, party: int, format: Sequence[int]) -> LocalOperatorTuple:
-    """Operator tuple acting with `matrix` on one party and identity elsewhere."""
-    mats = [identity_operator(d) for d in format]
-    mats[party] = matrix
-    return local_operators(mats)
-
-
 def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
     """Rotate one party so its support occupies the leading basis vectors.
 
@@ -409,32 +411,18 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
         u, _, _ = np.linalg.svd(mat)
         rank = linalg.float_rank(mat, tol)
         transform = [[complex(x) for x in row] for row in u.conj().T]
-    rotated = apply_local(state, operators_at_party(transform, party, state.format), tol)
-    dim = state.format[party]
-    if rank == dim:
-        return rotated, rank, transform
-    if rank == 1:
-        new_fmt = tuple(d for p, d in enumerate(state.format) if p != party)
-        amps = []
-        for multi in itertools.product(*(range(d) for d in new_fmt)):
-            full = list(multi)
-            full.insert(party, 0)
-            amps.append(rotated.amplitudes[rotated.offset(full)])
-        return StateTensor(new_fmt, tuple(amps), state.field_tag), rank, transform
-    new_fmt = tuple(rank if p == party else d for p, d in enumerate(state.format))
-    amps = []
-    for multi in itertools.product(*(range(d) for d in new_fmt)):
-        amps.append(rotated.amplitudes[rotated.offset(multi)])
-    return StateTensor(new_fmt, tuple(amps), state.field_tag), rank, transform
+    amps = mode_product(state.amplitudes, state.format, party, transform[:rank])
+    # a length-1 axis does not change row-major order, so rank 1 drops it as is
+    fmt = state.format
+    new_fmt = fmt[:party] + ((rank,) if rank > 1 else ()) + fmt[party + 1:]
+    return StateTensor(new_fmt, amps, state.field_tag), rank, transform
 
 
 def random_state(format: Sequence[int], seed: int, distribution: str = "unit-gaussian-complex") -> StateTensor:
     """Seeded random float state: iid standard complex gaussian, unit norm."""
     if distribution != "unit-gaussian-complex":
         raise ValueError(f"unsupported distribution {distribution!r}")
-    fmt = tuple(int(d) for d in format)
-    if any(d < 2 for d in fmt):
-        raise BadDimension(f"party dimensions must be at least 2, got {fmt}")
+    fmt = check_format(format)
     rng = np.random.default_rng(seed)
     size = math.prod(fmt)
     vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)

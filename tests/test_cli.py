@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
+
+import onionclass
 
 from onionclass.cli import main
 from onionclass.documents import parse_state_document, state_document
@@ -128,6 +134,34 @@ def test_random_round_trip_byte_stable():
     reclassified = _run(["classify"], stdin=first)
     assert reclassified.exit_code == 0
     assert json.loads(reclassified.output)["name"] == "GHZ"
+
+
+def test_random_bad_dimension_exits_2():
+    # a separate process with a timeout, so a draw loop that never ends fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(onionclass.__file__).parents[1]))
+    for spec, mode in [("2x0", "exact"), ("2x-2", "exact"), ("2x0", "float")]:
+        result = subprocess.run(
+            [sys.executable, "-m", "onionclass.cli", "random", spec, "--seed", "1", "--mode", mode],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert result.returncode == 2, (spec, mode, result.stderr)
+        assert json.loads(result.stdout)["error"] == "BadDimension"
+
+
+def test_bad_arguments_exit_2():
+    doc = json.dumps(state_document(to_float(from_terms((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1}))))
+    for args in [
+        ["oracle", "--restarts", "0", "--seed", "1"],
+        ["oracle", "--restarts", "-1", "--seed", "1"],
+        ["reachable", "S2", "Sx", "--family", "bipartite"],
+        ["reachable", "Sx", "S2", "--family", "bipartite"],
+        ["reachable", "S2", "S0", "--family", "bipartite"],
+        ["reachable", "S2", "GHZ", "--family", "bipartite"],
+    ]:
+        result = _run(args, stdin=doc)
+        assert result.exit_code == 2, (args, result.output)
+        assert "error" in json.loads(result.output)
+    assert json.loads(_run(["reachable", "S2", "S1", "--family", "bipartite"]).output)["reachable"] is True
 
 
 def test_random_exact_mode():

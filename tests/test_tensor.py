@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -30,6 +31,8 @@ from onionclass import (
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible, rand_singular
 from onionclass.oracle import random_rational_state
+from onionclass.classify import RANKS_BY_NAME, class_catalog
+from onionclass.tensor import compress_party
 
 
 def test_new_state_validation():
@@ -243,3 +246,52 @@ def test_states_proportional(ghz):
     doubled = new_state((2, 2, 2), [a * GR(0, 2) for a in ghz.amplitudes])
     assert states_proportional(doubled, ghz)
     assert not states_proportional(ghz, from_terms((2, 2, 2), {(0, 0, 0): 1}))
+
+
+def _kron(a, b):
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def test_apply_local_matches_kronecker(rng):
+    for fmt in [(2, 3), (3, 2, 2), (2, 2, 2, 2)]:
+        state = random_rational_state(fmt, int(rng.integers(1 << 30)))
+        mats = [rand_invertible(rng, d) for d in fmt]
+        big = functools.reduce(_kron, mats)
+        expect = [sum((g * a for g, a in zip(row, state.amplitudes)), GR(0)) for row in big]
+        assert list(apply_local(state, local_operators(mats)).amplitudes) == expect
+
+        state = random_state(fmt, int(rng.integers(1 << 30)))
+        mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in fmt]
+        expect = functools.reduce(np.kron, mats) @ np.array(state.amplitudes)
+        got = np.array(apply_local(state, local_operators([m.tolist() for m in mats])).amplitudes)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+    # party 0 projected off the only index the state uses
+    state = from_terms((3, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 2})
+    ident = [[1, 0], [0, 1]]
+    with pytest.raises(ZeroState):
+        apply_local(state, local_operators([[[0, 0, 0], [0, 1, 0], [0, 0, 1]], ident, ident]))
+
+
+def test_compress_party_pushed_322(rng):
+    ident = [[1, 0], [0, 1]]
+    for name, rep in class_catalog("format322").items():
+        expected_rank = RANKS_BY_NAME["format322"][name][0]
+        for exact in (True, False):
+            if exact:
+                state = apply_local(rep, local_operators([rand_invertible(rng, d) for d in (3, 2, 2)]))
+            else:
+                mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (3, 2, 2)]
+                state = apply_local(to_float(rep), local_operators([m.tolist() for m in mats]))
+            reduced, rank, transform = compress_party(state, 0)
+            assert rank == expected_rank
+            assert reduced.format == ((2, 2) if rank == 1 else (rank, 2, 2))
+            assert reduced.field_tag == state.field_tag
+            rotated = apply_local(state, local_operators([transform, ident, ident])).amplitudes
+            kept, dropped = rotated[: 4 * rank], rotated[4 * rank:]
+            if exact:
+                assert reduced.amplitudes == kept
+                assert not any(dropped)
+            else:
+                scale = state.scale()
+                assert np.allclose(reduced.amplitudes, kept, rtol=0, atol=1e-12 * scale)
+                assert np.allclose(dropped, 0, rtol=0, atol=1e-12 * scale)
