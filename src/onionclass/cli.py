@@ -212,8 +212,6 @@ def cmd_reachable(source, target, family, output):
 @handles_errors
 def cmd_oracle(input_path, output, restarts, seed, tol):
     """Search for a critical point witnessing a zero hyperdeterminant."""
-    if restarts < 1:
-        raise SystemExit(_fail("DocumentInvalid", f"--restarts must be at least 1, got {restarts}"))
     state = parse_state_document(_read_document(input_path))
     if seed is None:
         seed = secrets.randbits(32)

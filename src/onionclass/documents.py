@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DocumentInvalid
 from .mixed import Ensemble, ensemble
-from .scalars import EXACT, FLOAT, GaussianRational, QuadExt
+from .scalars import EXACT, FLOAT, GaussianRational, QuadExt, frac_str
 from .tensor import StateTensor, new_state
 
 
@@ -23,10 +23,6 @@ def _parse_fraction(text) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentInvalid(f"bad rational literal {text!r}") from exc
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def parse_state_document(doc) -> StateTensor:
@@ -72,7 +68,7 @@ def parse_state_document(doc) -> StateTensor:
 def state_document(state: StateTensor) -> dict:
     """Serialize a StateTensor; exact amplitudes as 'p/q' strings."""
     if state.field_tag == EXACT:
-        amps = [[_frac_str(a.re), _frac_str(a.im)] for a in state.amplitudes]
+        amps = [[frac_str(a.re), frac_str(a.im)] for a in state.amplitudes]
     else:
         amps = [[a.real, a.imag] for a in state.amplitudes]
     return {"format": list(state.format), "amplitudes": amps, "mode": state.field_tag}
@@ -100,7 +96,7 @@ def parse_ensemble_document(doc) -> Ensemble:
 def ensemble_document(ens: Ensemble) -> dict:
     members = []
     for weight, state in ens.members:
-        w = _frac_str(weight) if isinstance(weight, Fraction) else float(weight)
+        w = frac_str(weight) if isinstance(weight, Fraction) else float(weight)
         members.append({"weight": w, "state": state_document(state)})
     return {"members": members}
 
@@ -114,7 +110,7 @@ def scalar_json(value):
     if isinstance(value, (GaussianRational, QuadExt)):
         return str(value)
     if isinstance(value, Fraction):
-        return _frac_str(value)
+        return frac_str(value)
     if isinstance(value, complex):
         return value.real if value.imag == 0.0 else [value.real, value.imag]
     if isinstance(value, (int, float)):

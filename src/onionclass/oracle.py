@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import DocumentInvalid, SizeMismatch
 from .scalars import EXACT, GaussianRational, as_float
-from .tensor import ProductVector, StateTensor, check_format, new_state
+from .tensor import ProductVector, StateTensor, check_format, check_seed, new_state
 
 _LETTERS = "abcdefgh"
 
@@ -170,8 +170,12 @@ def critical_point_search(
     first-order method's slow tail.  All restarts are materialized and the
     best residual selected, so the verdict is deterministic under any
     execution order.  found=True certifies degeneracy up to tol; found=False
-    reports the best residual as evidence.
+    reports the best residual as evidence.  A negative seed or fewer than
+    one restart raises DocumentInvalid.
     """
+    check_seed(seed)
+    if restarts < 1:
+        raise DocumentInvalid(f"restarts must be at least 1, got {restarts}")
     amps = _tensor_array(state)
     dims = state.format
     n = len(dims)
@@ -239,7 +243,7 @@ def critical_point_search(
 def random_rational_state(format: Sequence[int], seed: int, bound: int = 9) -> StateTensor:
     """Random exact state with Gaussian-integer amplitudes in [-bound, bound]."""
     fmt = check_format(format)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     size = math.prod(fmt)
     while True:
         res = rng.integers(-bound, bound + 1, size=size)

@@ -31,73 +31,118 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-class GaussianRational:
-    """Exact complex scalar re + im*i with rational components."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _gr(x: int, y: int, d: int) -> "GaussianRational":
+    """The Gaussian rational (x + y*i)/d for d > 0, put in lowest terms."""
+    if d != 1:
+        g = math.gcd(x, y, d)
+        if g != 1:
+            x //= g
+            y //= g
+            d //= g
+    z = _new(GaussianRational)
+    z._x = x
+    z._y = y
+    z._d = d
+    return z
+
+
+def _sum(x: int, y: int, d: int, u: int, v: int, e: int) -> "GaussianRational":
+    """(x + y*i)/d + (u + v*i)/e, sharing the denominator when d == e."""
+    if d == e:
+        return _gr(x + u, y + v, d)
+    return _gr(x * e + u * d, y * e + v * d, d * e)
+
+
+def _parts(other):
+    """(x, y, d) of an exact operand, or None for any other type."""
+    if isinstance(other, GaussianRational):
+        return other._x, other._y, other._d
+    if isinstance(other, int):
+        return other, 0, 1
+    if isinstance(other, Fraction):
+        return other.numerator, 0, other.denominator
+    return None
+
+
+class GaussianRational:
+    """Exact complex scalar re + im*i with rational components.
+
+    Stored as Python ints (x + y*i)/d with d > 0 and gcd(x, y, d) == 1, so
+    equal values have equal triples.
+    """
+
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        re, im = _frac(re), _frac(im)
+        b, e = re.denominator, im.denominator
+        d = b * e // math.gcd(b, e)
+        # re and im are in lowest terms, so over their lcm the triple is too
+        self._x = re.numerator * (d // b)
+        self._y = im.numerator * (d // e)
+        self._d = d
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _sum(self._x, self._y, self._d, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        u, v, e = o
+        return _sum(self._x, self._y, self._d, -u, -v, e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _sum(-self._x, -self._y, self._d, *o)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        u, v, e = o
+        x, y, d = self._x, self._y, self._d
+        return _gr(x * u - y * v, x * v + y * u, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        n2 = o.re * o.re + o.im * o.im
+        u, v, e = o
+        n2 = u * u + v * v
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n2,
-            (self.im * o.re - self.re * o.im) / n2,
-        )
+        x, y, d = self._x, self._y, self._d
+        return _gr(e * (x * u + y * v), e * (y * u - x * v), d * n2)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _gr(*o) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._x, -self._y, self._d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -115,43 +160,44 @@ class GaussianRational:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._x, self._y, self._d) == o
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._x) or bool(self._y)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._x, -self._y, self._d)
 
     def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
     def __abs__(self) -> float:
         return math.sqrt(self.abs_squared())
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._y == 0
 
     def __complex__(self):
-        return complex(self.re, self.im)
+        return complex(self._x / self._d, self._y / self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return _frac_str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{_frac_str(self.re)}{sign}{_frac_str(abs(self.im))}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return frac_str(re)
+        sign = "+" if im >= 0 else "-"
+        return f"{frac_str(re)}{sign}{frac_str(abs(im))}i"
 
 
-def _frac_str(f: Fraction) -> str:
+def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 

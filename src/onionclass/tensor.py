@@ -20,6 +20,7 @@ from . import linalg
 from .errors import (
     BadCut,
     BadDimension,
+    DocumentInvalid,
     FormatMismatch,
     NotBipartite,
     SizeMismatch,
@@ -132,6 +133,13 @@ def check_format(format: Sequence[int]) -> tuple[int, ...]:
     if any(d < 2 for d in fmt):
         raise BadDimension(f"party dimensions must be at least 2, got {fmt}")
     return fmt
+
+
+def check_seed(seed: int) -> int:
+    """The seed of a random draw; DocumentInvalid when it is negative."""
+    if seed < 0:
+        raise DocumentInvalid(f"seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def new_state(format: Sequence[int], amplitudes: Sequence, field_tag: str | None = None) -> StateTensor:
@@ -261,10 +269,10 @@ def schmidt_coefficients(state: StateTensor, tol: float = DEFAULT_TOL):
         for i in range(len(rows))
     ]
     poly = linalg.char_poly(gram)
-    assert all(c.im == 0 for c in poly)
-    roots = linalg.rational_roots_if_split([c.re for c in poly])
-    if roots is not None and len(roots) == len(gram):
-        return tuple(sorted(roots, reverse=True))
+    if all(c.is_real() for c in poly):
+        roots = linalg.rational_roots_if_split([c.re for c in poly])
+        if roots is not None and len(roots) == len(gram):
+            return tuple(sorted(roots, reverse=True))
     eigs = np.linalg.eigvalsh(linalg.float_matrix(gram))
     return tuple(float(e) for e in eigs[::-1])
 
@@ -423,7 +431,7 @@ def random_state(format: Sequence[int], seed: int, distribution: str = "unit-gau
     if distribution != "unit-gaussian-complex":
         raise ValueError(f"unsupported distribution {distribution!r}")
     fmt = check_format(format)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     size = math.prod(fmt)
     vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     vec /= np.linalg.norm(vec)

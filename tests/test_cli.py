@@ -148,6 +148,22 @@ def test_random_bad_dimension_exits_2():
         assert json.loads(result.stdout)["error"] == "BadDimension"
 
 
+def test_negative_seed_exits_2():
+    env = dict(os.environ, PYTHONPATH=str(Path(onionclass.__file__).parents[1]))
+    doc = json.dumps(state_document(to_float(from_terms((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1}))))
+    for args in [
+        ["random", "2x2", "--seed", "-1", "--mode", "float"],
+        ["random", "2x2", "--seed", "-1", "--mode", "exact"],
+        ["oracle", "--seed", "-3", "--restarts", "4"],
+    ]:
+        result = subprocess.run(
+            [sys.executable, "-m", "onionclass.cli", *args],
+            input=doc, capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert result.returncode == 2, (args, result.stderr)
+        assert json.loads(result.stdout)["error"] == "DocumentInvalid"
+
+
 def test_bad_arguments_exit_2():
     doc = json.dumps(state_document(to_float(from_terms((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1}))))
     for args in [

@@ -13,8 +13,10 @@ from onionclass import (
     identity_check,
     product_vector,
     random_rational_state,
+    random_state,
     to_float,
 )
+from onionclass.errors import DocumentInvalid
 
 
 def test_residual_examples(ghz):
@@ -94,3 +96,16 @@ def test_random_rational_state_determinism():
     b = random_rational_state((2, 2, 2), 4)
     assert a.amplitudes == b.amplitudes
     assert a.field_tag == "exact"
+
+
+def test_seed_and_restart_rules():
+    state = random_state((2, 2, 2), 1)
+    for call in [
+        lambda: random_state((2, 2), -1),
+        lambda: random_rational_state((2, 2), -1),
+        lambda: critical_point_search(state, restarts=4, seed=-3),
+        lambda: critical_point_search(state, restarts=0),
+    ]:
+        with pytest.raises(DocumentInvalid):
+            call()
+    assert critical_point_search(state, restarts=1, seed=0).restarts_used == 1
