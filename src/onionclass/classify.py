@@ -14,8 +14,6 @@ import cmath
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg
 from .errors import (
     FamilyMismatch,
@@ -128,6 +126,7 @@ def _ranks_with_watch(state: StateTensor, watch: _BoundaryWatch, tol: float) -> 
     for p in range(state.n_parties):
         ranks.append(cut_rank(state, [p], tol))
         if state.field_tag == FLOAT:
+            import numpy as np
             rows = linalg.float_matrix(flatten(state, [p]))
             sv = np.linalg.svd(rows, compute_uv=False)
             if sv[0] > 0:

@@ -78,8 +78,10 @@ input_option = click.option("--input", "input_path", default="-", envvar="ONION_
                             help="Input document path, '-' for stdin.")
 output_option = click.option("--output", default="json", envvar="ONION_OUTPUT",
                              type=click.Choice(["json", "text"]), help="Report format.")
+# a click callback runs while options are parsed, outside the command's own handler
+_checked_tol = handles_errors(lambda _ctx, _param, value: tensor_mod.check_tol(value))
 tol_option = click.option("--tol", default=DEFAULT_TOL, envvar="ONION_TOL", type=float,
-                          help="Relative float zero-test tolerance.")
+                          callback=_checked_tol, help="Relative float zero-test tolerance.")
 
 
 @click.group()
@@ -207,7 +209,7 @@ def cmd_reachable(source, target, family, output):
 @click.option("--restarts", default=64, envvar="ONION_RESTARTS", type=int)
 @click.option("--seed", default=None, envvar="ONION_SEED", type=int,
               help="Search seed; derived and reported when omitted.")
-@click.option("--tol", default=1e-8, envvar="ONION_ORACLE_TOL", type=float,
+@click.option("--tol", default=1e-8, envvar="ONION_ORACLE_TOL", type=float, callback=_checked_tol,
               help="Residual acceptance tolerance.")
 @handles_errors
 def cmd_oracle(input_path, output, restarts, seed, tol):

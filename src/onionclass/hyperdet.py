@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .errors import SizeMismatch, UnsupportedFormat, WrongFormat
 from .scalars import EXACT, GaussianRational, as_exact, as_float, is_exact
@@ -208,6 +206,7 @@ def schlafli_lift(coeffs: BinaryFormCoefficients, calibration) -> LiftResult:
     if is_exact(cs[0]):
         res = linalg.exact_det(m)
     else:
+        import numpy as np
         res = complex(np.linalg.det(linalg.float_matrix(m)))
     return LiftResult(calibration * res)
 

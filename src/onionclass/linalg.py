@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .scalars import GaussianRational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _copy(rows):
@@ -230,11 +232,13 @@ def rational_roots_if_split(coeffs):
 
 
 def float_matrix(rows) -> np.ndarray:
+    import numpy as np
     return np.array([[complex(x) for x in r] for r in rows], dtype=complex)
 
 
 def float_rank(matrix: np.ndarray, tol: float) -> int:
     """Numerical rank: singular values above tol times the largest."""
+    import numpy as np
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .classify import classify
 from .errors import EmptyEnsemble, SizeMismatch, UnsupportedFormat
 from .scalars import DEFAULT_TOL, EXACT, GaussianRational, as_float
@@ -125,6 +123,7 @@ def density_matrix(ens: Ensemble):
                         state.amplitudes[i] * state.amplitudes[j].conjugate() * weight / n2
                     )
         return rho
+    import numpy as np
     rho = np.zeros((dim, dim), dtype=complex)
     for weight, state in ens.members:
         vec = np.array([as_float(a) for a in state.amplitudes])

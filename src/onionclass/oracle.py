@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .errors import DocumentInvalid, SizeMismatch
+from .errors import DocumentInvalid, SizeMismatch, UnsupportedFormat
 from .scalars import EXACT, GaussianRational, as_float
-from .tensor import ProductVector, StateTensor, check_format, check_seed, new_state
+from .tensor import ProductVector, StateTensor, check_format, check_seed, check_tol, new_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _LETTERS = "abcdefgh"
 
@@ -28,12 +29,14 @@ ARMIJO = 1e-4
 
 
 def _tensor_array(state: StateTensor) -> np.ndarray:
+    import numpy as np
     arr = np.array([as_float(a) for a in state.amplitudes], dtype=complex)
     return arr.reshape(state.format)
 
 
 def _gradients(amps: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
     """Batched first partials of the pairing, one (B, d_j) array per party."""
+    import numpy as np
     n = amps.ndim
     subs = _LETTERS[:n]
     grads = []
@@ -50,6 +53,7 @@ def _gradients(amps: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
 
 def _pair_hessian(amps: np.ndarray, factors: list[np.ndarray], j: int, m: int) -> np.ndarray:
     """Batched matrix of second partials with respect to parties j < m."""
+    import numpy as np
     n = amps.ndim
     subs = _LETTERS[:n]
     operands = [amps]
@@ -66,6 +70,7 @@ def _pair_hessian(amps: np.ndarray, factors: list[np.ndarray], j: int, m: int) -
 
 def _residual_and_gradient(amps: np.ndarray, factors: list[np.ndarray]):
     """Residual sum of squared partials and its conjugate gradient per party."""
+    import numpy as np
     n = amps.ndim
     grads = _gradients(amps, factors)
     residual = sum((np.abs(g) ** 2).sum(axis=1) for g in grads)
@@ -84,11 +89,13 @@ def _residual_and_gradient(amps: np.ndarray, factors: list[np.ndarray]):
 
 
 def _residual_only(amps: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    import numpy as np
     grads = _gradients(amps, factors)
     return sum((np.abs(g) ** 2).sum(axis=1) for g in grads)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    import numpy as np
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
@@ -99,6 +106,7 @@ def critical_residual(state: StateTensor, x: ProductVector) -> float:
     with its own factor reproduces it, so it vanishes whenever the
     gradient does.
     """
+    import numpy as np
     if len(x.factors) != state.n_parties:
         raise SizeMismatch("product vector party count does not match the state")
     for p, f in enumerate(x.factors):
@@ -131,6 +139,7 @@ def _polish_sweeps(amps: np.ndarray, factors: list[np.ndarray], sweeps: int) -> 
     iteration converges far faster than first-order steps near a critical
     point.
     """
+    import numpy as np
     n = amps.ndim
     for _ in range(sweeps):
         for j in range(n):
@@ -170,12 +179,18 @@ def critical_point_search(
     first-order method's slow tail.  All restarts are materialized and the
     best residual selected, so the verdict is deterministic under any
     execution order.  found=True certifies degeneracy up to tol; found=False
-    reports the best residual as evidence.  A negative seed or fewer than
-    one restart raises DocumentInvalid.
+    reports the best residual as evidence.  A negative seed, fewer than one
+    restart or a tolerance that is not finite and nonnegative raises
+    DocumentInvalid; fewer than 2 or more than 8 parties raise
+    UnsupportedFormat.
     """
+    import numpy as np
     check_seed(seed)
+    check_tol(tol)
     if restarts < 1:
         raise DocumentInvalid(f"restarts must be at least 1, got {restarts}")
+    if not 2 <= state.n_parties <= len(_LETTERS):
+        raise UnsupportedFormat(f"the search needs 2 to {len(_LETTERS)} parties, got {state.n_parties}")
     amps = _tensor_array(state)
     dims = state.format
     n = len(dims)
@@ -242,6 +257,7 @@ def critical_point_search(
 
 def random_rational_state(format: Sequence[int], seed: int, bound: int = 9) -> StateTensor:
     """Random exact state with Gaussian-integer amplitudes in [-bound, bound]."""
+    import numpy as np
     fmt = check_format(format)
     rng = np.random.default_rng(check_seed(seed))
     size = math.prod(fmt)

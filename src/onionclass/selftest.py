@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import mixed as mixed_mod
 from . import oracle as oracle_mod
 from . import tensor as tensor_mod
@@ -119,6 +117,7 @@ def check_lift_identity(level: str) -> CheckResult:
 
 
 def check_generic4_family(level: str) -> CheckResult:
+    import numpy as np
     trials = _counts(level, 20, 100)
     rng = np.random.default_rng(202)
     pinned = generic4_product(2, 1, 1, 1)
@@ -179,6 +178,7 @@ _EXPONENTS = {
 
 
 def check_relative_invariance(level: str) -> CheckResult:
+    import numpy as np
     trials = _counts(level, 15, 100)
     rng = np.random.default_rng(303)
     failures = []
@@ -287,6 +287,7 @@ def check_oracle_agreement(level: str) -> CheckResult:
 
 
 def check_degradation(level: str) -> CheckResult:
+    import numpy as np
     per_family = _counts(level, 60, 500)
     rng = np.random.default_rng(505)
     forbidden = {("GHZ", "W"), ("W", "GHZ")}
@@ -321,6 +322,7 @@ def check_degradation(level: str) -> CheckResult:
 
 
 def check_canonicalizer(level: str) -> CheckResult:
+    import numpy as np
     n_random = _counts(level, 30, 200)
     rng = np.random.default_rng(606)
     failures = 0

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
 from .errors import (
     BadCut,
@@ -142,6 +140,13 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_tol(tol: float) -> float:
+    """A zero-test or residual tolerance; DocumentInvalid unless finite and nonnegative."""
+    if not math.isfinite(tol) or tol < 0:
+        raise DocumentInvalid(f"tolerance must be a finite nonnegative number, got {tol}")
+    return tol
+
+
 def new_state(format: Sequence[int], amplitudes: Sequence, field_tag: str | None = None) -> StateTensor:
     """Validate and build a state tensor.
 
@@ -256,6 +261,7 @@ def schmidt_coefficients(state: StateTensor, tol: float = DEFAULT_TOL):
         raise NotBipartite(f"format {state.format} is not bipartite")
     rows = flatten(state, [0])
     if state.field_tag == FLOAT:
+        import numpy as np
         sv = np.linalg.svd(linalg.float_matrix(rows), compute_uv=False)
         return tuple(float(s) for s in sv)
     gram = [
@@ -273,6 +279,7 @@ def schmidt_coefficients(state: StateTensor, tol: float = DEFAULT_TOL):
         roots = linalg.rational_roots_if_split([c.re for c in poly])
         if roots is not None and len(roots) == len(gram):
             return tuple(sorted(roots, reverse=True))
+    import numpy as np
     eigs = np.linalg.eigvalsh(linalg.float_matrix(gram))
     return tuple(float(e) for e in eigs[::-1])
 
@@ -309,6 +316,7 @@ def local_operators(matrices: Sequence, tol: float = DEFAULT_TOL) -> LocalOperat
             dets.append(det)
             flags.append(bool(det))
         else:
+            import numpy as np
             arr = linalg.float_matrix(rows)
             det = complex(np.linalg.det(arr))
             dets.append(det)
@@ -415,6 +423,7 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
     if state.field_tag == EXACT:
         transform, rank = linalg.exact_elimination_transform(rows)
     else:
+        import numpy as np
         mat = linalg.float_matrix(rows)
         u, _, _ = np.linalg.svd(mat)
         rank = linalg.float_rank(mat, tol)
@@ -428,6 +437,7 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
 
 def random_state(format: Sequence[int], seed: int, distribution: str = "unit-gaussian-complex") -> StateTensor:
     """Seeded random float state: iid standard complex gaussian, unit norm."""
+    import numpy as np
     if distribution != "unit-gaussian-complex":
         raise ValueError(f"unsupported distribution {distribution!r}")
     fmt = check_format(format)
@@ -456,6 +466,7 @@ def _rays_equal(a: Sequence, b: Sequence, tol: float) -> bool:
             return False
         ratio = a[pivot] / b[pivot]
         return all(x == y * ratio for x, y in zip(a, b))
+    import numpy as np
     va = np.array([as_float(x) for x in a])
     vb = np.array([as_float(x) for x in b])
     pivot = int(np.argmax(np.abs(vb)))

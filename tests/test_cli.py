@@ -4,17 +4,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import onionclass
 
 from onionclass.cli import main
 from onionclass.documents import parse_state_document, state_document
-from onionclass import from_terms, to_float
+from onionclass import (
+    apply_local,
+    class_catalog,
+    critical_point_search,
+    from_terms,
+    local_operators,
+    random_state,
+    to_float,
+)
+from onionclass.errors import DocumentInvalid
+from onionclass.selftest import rand_invertible
 
 
 def _run(args, stdin=None):
     return CliRunner().invoke(main, args, input=stdin)
+
+
+def _cli_env():
+    """A subprocess environment that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=str(Path(onionclass.__file__).parents[1]))
 
 
 def _ghz_doc():
@@ -138,7 +155,7 @@ def test_random_round_trip_byte_stable():
 
 def test_random_bad_dimension_exits_2():
     # a separate process with a timeout, so a draw loop that never ends fails the test
-    env = dict(os.environ, PYTHONPATH=str(Path(onionclass.__file__).parents[1]))
+    env = _cli_env()
     for spec, mode in [("2x0", "exact"), ("2x-2", "exact"), ("2x0", "float")]:
         result = subprocess.run(
             [sys.executable, "-m", "onionclass.cli", "random", spec, "--seed", "1", "--mode", mode],
@@ -149,7 +166,7 @@ def test_random_bad_dimension_exits_2():
 
 
 def test_negative_seed_exits_2():
-    env = dict(os.environ, PYTHONPATH=str(Path(onionclass.__file__).parents[1]))
+    env = _cli_env()
     doc = json.dumps(state_document(to_float(from_terms((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1}))))
     for args in [
         ["random", "2x2", "--seed", "-1", "--mode", "float"],
@@ -251,3 +268,80 @@ def test_env_variable_fallback(monkeypatch):
     runner = CliRunner()
     result = runner.invoke(main, ["random", "2x2"], env={"ONION_SEED": "12"})
     assert json.loads(result.output)["seed"] == 12
+
+
+def _pushed_docs(states, seed=0):
+    """States pushed by random Gaussian-integer operators, as exact documents."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for rep in states:
+        ops = local_operators([rand_invertible(rng, d) for d in rep.format])
+        docs.append(json.dumps(state_document(apply_local(rep, ops))))
+    return docs
+
+
+# Runs [args, stdin] pairs through the CLI in one fresh interpreter and
+# reports after each whether numpy has been imported by then.
+_NUMPY_PROBE = """
+import json, sys
+from click.testing import CliRunner
+from onionclass.cli import main
+for args, stdin in json.load(sys.stdin):
+    result = CliRunner().invoke(main, args, input=stdin)
+    print(json.dumps([args, result.exit_code, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_documents_never_import_numpy():
+    states = [from_terms((d, d), {(i, i): 1 for i in range(r)}) for d in (2, 3) for r in range(1, d + 1)]
+    for family in ("qubit3", "format322", "qubit4"):
+        states += class_catalog(family).values()
+    runs = [[[cmd], doc] for doc in _pushed_docs(states) for cmd in ("classify", "hyperdet", "invariants")]
+    qubit3 = list(class_catalog("qubit3").values())
+    runs += [[["canonicalize"], doc] for doc in _pushed_docs(qubit3, seed=1)]
+    members = [{"weight": "1/2", "state": json.loads(doc)} for doc in _pushed_docs(qubit3[:2], seed=2)]
+    runs.append([["mixed"], json.dumps({"members": members})])
+    runs += [[["reachable", "GHZ", "B2"], ""], [["reachable", "S3", "S1", "--family", "bipartite"], ""]]
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], input=json.dumps(runs),
+                            capture_output=True, text=True, timeout=120, env=_cli_env())
+    assert result.returncode == 0, result.stderr
+    reports = [json.loads(line) for line in result.stdout.splitlines()]
+    assert len(reports) == len(runs)
+    for (args, doc), (_, code, loaded) in zip(runs, reports):
+        # 3x3 has no hyperdeterminant rule: a documented exit 3
+        unsupported = args == ["hyperdet"] and json.loads(doc)["format"] == [3, 3]
+        assert code == (3 if unsupported else 0), (args, doc)
+        assert not loaded, f"numpy imported by {args} on {doc}"
+    # float documents import numpy partway through a command, in a fresh process
+    w = to_float(from_terms((2, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
+    for cmd, key, expected in [("classify", "name", "W"), ("invariants", "local_ranks", [2, 2, 2])]:
+        proc = subprocess.run([sys.executable, "-m", "onionclass.cli", cmd], input=json.dumps(state_document(w)),
+                              capture_output=True, text=True, timeout=30, env=_cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)[key] == expected
+
+
+def test_oracle_party_count_exits_3():
+    for fmt in [(2,), (2,) * 9]:
+        doc = json.dumps(state_document(random_state(fmt, 1)))
+        result = subprocess.run([sys.executable, "-m", "onionclass.cli", "oracle", "--seed", "1"], input=doc,
+                                capture_output=True, text=True, timeout=30, env=_cli_env())
+        assert result.returncode == 3, (fmt, result.stderr)
+        assert json.loads(result.stdout)["error"] == "UnsupportedFormat"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+def test_bad_tolerance_exits_2(bad):
+    doc = json.dumps(state_document(to_float(from_terms((2, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))))
+    for args, env in [
+        (["classify", "--tol", bad], {}),
+        (["invariants"], {"ONION_TOL": bad}),
+        (["oracle", "--seed", "1", "--tol", bad], {}),
+        (["oracle", "--seed", "1"], {"ONION_ORACLE_TOL": bad}),
+    ]:
+        result = CliRunner().invoke(main, args, input=doc, env=env)
+        assert result.exit_code == 2, (args, env, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.output)["error"] == "DocumentInvalid"
+    with pytest.raises(DocumentInvalid):
+        critical_point_search(random_state((2, 2, 2), 1), restarts=1, tol=float(bad))

@@ -5,18 +5,23 @@ import pytest
 
 from onionclass import (
     SizeMismatch,
+    apply_local,
+    class_catalog,
     critical_point_search,
     critical_residual,
     det2,
     det3,
+    float_state,
     from_terms,
     identity_check,
+    local_operators,
     product_vector,
     random_rational_state,
     random_state,
     to_float,
 )
 from onionclass.errors import DocumentInvalid
+from onionclass.selftest import rand_invertible
 
 
 def test_residual_examples(ghz):
@@ -109,3 +114,33 @@ def test_seed_and_restart_rules():
         with pytest.raises(DocumentInvalid):
             call()
     assert critical_point_search(state, restarts=1, seed=0).restarts_used == 1
+
+
+def _unit_push(family, name, seed):
+    """A catalog representative pushed by random Gaussian-integer operators, at unit norm."""
+    rep = class_catalog(family)[name]
+    rng = np.random.default_rng(seed)
+    ops = local_operators([rand_invertible(rng, d) for d in rep.format])
+    amps = to_float(apply_local(rep, ops)).amplitudes
+    norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+    return float_state(rep.format, [a / norm for a in amps])
+
+
+@pytest.mark.parametrize("family, name, seeds, degenerate", [
+    ("format322", "W", range(6), True),
+    ("qubit3", "B1", [0], True),
+    ("qubit3", "S", [0], True),
+    ("format322", "GHZ", [0], True),
+    ("qubit4", "W4", [0], True),
+    ("qubit3", "GHZ", [0, 1], False),
+    ("format322", "GEN322", [0, 1], False),
+], ids=["3x2x2-W", "2x2x2-B1", "2x2x2-S", "3x2x2-GHZ", "2x2x2x2-W4", "2x2x2-GHZ", "3x2x2-GEN322"])
+def test_search_verdicts_on_unit_pushes(family, name, seeds, degenerate):
+    # pushed 3x2x2 W states stall near 1e-6 without the gradient stage, above tol
+    for seed in seeds:
+        result = critical_point_search(_unit_push(family, name, seed), restarts=64, tol=1e-8, seed=seed)
+        assert result.found == degenerate, (name, seed, result.residual)
+        if degenerate:
+            assert result.residual <= 1e-20, (name, seed, result.residual)
+        else:
+            assert result.residual >= 5e-4, (name, seed, result.residual)
