@@ -35,6 +35,7 @@ from .scalars import (
 from .tensor import (
     StateTensor,
     apply_local,
+    check_tol,
     compress_party,
     cut_rank,
     det_scale,
@@ -140,8 +141,10 @@ def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
 
     Supported formats: square bipartite (d, d), (2, 2, 2), (3, 2, 2), and
     (2, 2, 2, 2).  Float labels near a class boundary carry
-    diagnostics["boundary_warning"] = True.
+    diagnostics["boundary_warning"] = True.  A tolerance that is not
+    finite and nonnegative raises DocumentInvalid.
     """
+    check_tol(tol)
     fmt = state.format
     watch = _BoundaryWatch(tol)
     if len(fmt) == 2:
@@ -402,8 +405,10 @@ def canonicalize_3qubit(state: StateTensor, tol: float = DEFAULT_TOL):
     representative(label).  In exact mode the result is exactly
     proportional; the class whose pencil discriminant is not a perfect
     square is handled in the quadratic extension of the Gaussian
-    rationals, so returned operator entries may be extension scalars.
+    rationals, so returned operator entries may be extension scalars.  A
+    tolerance that is not finite and nonnegative raises DocumentInvalid.
     """
+    check_tol(tol)
     if state.format != (2, 2, 2):
         raise WrongFormat(f"expected format (2, 2, 2), got {state.format}")
     label = classify(state, tol)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .classify import classify
 from .errors import EmptyEnsemble, SizeMismatch, UnsupportedFormat
 from .scalars import DEFAULT_TOL, EXACT, GaussianRational, as_float
-from .tensor import norm_squared
+from .tensor import check_tol, norm_squared
 
 LADDER_ORDER = ("separable-class", "biseparable-class", "W-class", "GHZ-class")
 
@@ -81,8 +81,10 @@ def ensemble_upper_class(ens: Ensemble, tol: float = DEFAULT_TOL) -> LadderClass
 
     Only the 3-qubit ladder is defined; each member classifies to a pure
     class which maps onto separable < biseparable < W < GHZ, and the
-    maximum is returned.
+    maximum is returned.  A tolerance that is not finite and nonnegative
+    raises DocumentInvalid.
     """
+    check_tol(tol)
     if not ens.members:
         raise EmptyEnsemble("an ensemble needs at least one member")
     fmt = ens.members[0][1].format

@@ -246,6 +246,7 @@ def cut_rank(state: StateTensor, parties: Sequence[int], tol: float = DEFAULT_TO
 
 
 def local_ranks(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
+    check_tol(tol)
     return tuple(cut_rank(state, [p], tol) for p in range(state.n_parties))
 
 

@@ -11,10 +11,13 @@ from onionclass import (
     canonicalize_3qubit,
     class_catalog,
     classify,
+    ensemble,
+    ensemble_upper_class,
     exact_state,
     from_terms,
     generic4_state,
     local_operators,
+    local_ranks,
     random_state,
     reachable,
     representative,
@@ -22,6 +25,7 @@ from onionclass import (
     to_float,
 )
 from onionclass.classify import FORMAT322, QUBIT3, QUBIT4, RANKS_BY_NAME, ClassLabel
+from onionclass.errors import DocumentInvalid
 from onionclass.oracle import random_rational_state
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible, rand_singular
@@ -290,3 +294,15 @@ def test_float_format322_pushed_keeps_label(rng):
             label = classify(pushed)
             assert label.name == name
             assert label.local_ranks == RANKS_BY_NAME[FORMAT322][name]
+
+
+@pytest.mark.parametrize("entry", [
+    classify,
+    canonicalize_3qubit,
+    local_ranks,
+    lambda state, tol: ensemble_upper_class(ensemble([(1, state)]), tol),
+], ids=["classify", "canonicalize_3qubit", "local_ranks", "ensemble_upper_class"])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_library_tolerance_rule(w_state, entry, tol):
+    with pytest.raises(DocumentInvalid):
+        entry(to_float(w_state), tol)
