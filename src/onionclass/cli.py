@@ -284,14 +284,14 @@ def cmd_mixed(input_path, output, tol):
 @click.option("--level", default="quick", type=click.Choice(["quick", "full"]),
               envvar="ONION_SELFTEST_LEVEL")
 def cmd_selftest(level):
-    """Run the acceptance battery and print one line per criterion."""
+    """Run the acceptance battery and print one line per criterion, with its wall time."""
     results = selftest_mod.run(level)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         if not res.passed:
             failed += 1
-        click.echo(f"{status}  {res.name}: {res.detail}")
+        click.echo(f"{status}  {res.name} ({res.seconds:.2f} s): {res.detail}")
     click.echo(f"{len(results) - failed}/{len(results)} criteria passed ({level} level)")
     if failed:
         raise SystemExit(1)

@@ -3,10 +3,12 @@
 Degeneracy of a state tensor is witnessed by a critical point of the
 pairing: a product vector at which every first partial derivative
 vanishes.  The oracle hunts for one from many starts over the product of
-unit spheres, in three stages built on one kernel of second partials:
-projected gradient descent, alternating per-party minimization and a
-damped Gauss-Newton finish.  A FOUND verdict certifies a zero
-hyperdeterminant up to tolerance, while NOT-FOUND is evidence only.
+unit spheres, in two stages built on one kernel of second partials:
+alternating per-party minimization, then a Gauss-Newton finish whose
+damping adapts per start.  The tensor is rescaled to unit norm first, so
+the verdict does not depend on the state's scale.  A FOUND verdict
+certifies a zero hyperdeterminant up to tolerance, while NOT-FOUND is
+evidence only.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MAX_PARTIES = 8
-
-GRAD_TOL = 1e-12
-MAX_ITERS = 500
-MAX_HALVINGS = 40
-ARMIJO = 1e-4
 
 
 def _check_parties(state: StateTensor) -> None:
@@ -103,17 +100,13 @@ class _Pairing:
             jac[:, self.parts[j], self.parts[m]] = h
             jac[:, self.parts[m], self.parts[j]] = h.transpose(0, 2, 1)
         partials = (jac @ x[:, :, None])[:, :, 0] / (self.n - 1)
-        return jac, partials, _squared_norms(partials)
-
-    def party_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-party sums of the columns of a (B, D) array, repeated back to (B, D)."""
-        import numpy as np
-        return np.repeat(np.add.reduceat(values, self.starts[:-1], axis=1), self.dims, axis=1)
+        return jac, partials, (np.abs(partials) ** 2).sum(axis=1)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         """Each factor of each row scaled to unit norm."""
         import numpy as np
-        return x / np.sqrt(self.party_sums(np.abs(x) ** 2))
+        norms = np.sqrt(np.add.reduceat(np.abs(x) ** 2, self.starts[:-1], axis=1))
+        return x / np.repeat(norms, self.dims, axis=1)
 
     def polish(self, x: np.ndarray, sweeps: int) -> np.ndarray:
         """Alternating exact per-party minimization of the residual.
@@ -122,8 +115,7 @@ class _Pairing:
         quadratic form in the remaining one plus a constant: its matrix is
         conj(R) R^T for the row R of J that belongs to the party.  Its
         sphere-constrained minimizer is the smallest eigenvector.  Each
-        sweep is monotone; the iteration converges far faster than
-        first-order steps near a critical point.
+        sweep is monotone.
         """
         import numpy as np
         for _ in range(sweeps):
@@ -137,21 +129,23 @@ class _Pairing:
         return x
 
     def newton_finish(self, x: np.ndarray, steps: int):
-        """Damped Gauss-Newton steps on the stacked partials; returns the rows and residuals.
+        """Levenberg-Marquardt steps on the stacked partials; returns the rows and residuals.
 
         Each step solves (J^H J + mu I) delta = -J^H G with mu = 1e-14 +
-        1e-3 residual per row, renormalizes each factor, and is kept for a
-        row only where that row's residual falls.  The step uses the second
-        partials, so it keeps converging at critical points where the
-        Hessian is singular and first-order steps crawl.  On a state of
-        large norm mu can vanish against J^H J, whose solve may then meet
-        an exactly singular matrix; that ends the finish.
+        factor * residual per row, renormalizes each factor, and is kept for
+        a row only where that row's residual falls.  A row's factor starts
+        at 1e-3, halves when its step is kept and doubles when it is not,
+        so a rejected step is never retried unchanged.  The step uses the
+        second partials, so it keeps converging at critical points where
+        the Hessian is singular and first-order steps crawl.  A solve that
+        meets an exactly singular matrix ends the finish.
         """
         import numpy as np
         jac, partials, residual = self.evaluate(x)
         eye = np.eye(jac.shape[1])
+        factor = np.full(x.shape[0], 1e-3)
         for _ in range(steps):
-            normal = jac.conj() @ jac + (1e-14 + 1e-3 * residual)[:, None, None] * eye
+            normal = jac.conj() @ jac + (1e-14 + factor * residual)[:, None, None] * eye
             try:
                 delta = np.linalg.solve(normal, -_conj_gradient(jac, partials)[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -159,26 +153,15 @@ class _Pairing:
             cand = self.normalize(x + delta)
             cand_jac, cand_partials, cand_res = self.evaluate(cand)
             better = cand_res < residual
-            if not better.any():
-                break  # every row is unchanged, so the next step would repeat this one
-            _take_rows(better, (x, jac, partials, residual), (cand, cand_jac, cand_partials, cand_res))
+            factor = np.where(better, 0.5 * factor, 2.0 * factor)
+            for whole, part in zip((x, jac, partials, residual), (cand, cand_jac, cand_partials, cand_res)):
+                whole[better] = part[better]
         return x, residual
 
 
 def _conj_gradient(jac: np.ndarray, partials: np.ndarray) -> np.ndarray:
     """Gradient of the residual in the conjugate factors: J^H G, which is conj(J) G as J is symmetric."""
     return (jac.conj() @ partials[:, :, None])[:, :, 0]
-
-
-def _take_rows(mask: np.ndarray, current: tuple, candidate: tuple) -> None:
-    """Overwrite the masked rows of each current array with the candidate's, in place."""
-    for whole, part in zip(current, candidate):
-        whole[mask] = part[mask]
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return (np.abs(rows) ** 2).sum(axis=1)
 
 
 def critical_residual(state: StateTensor, x: ProductVector) -> float:
@@ -211,10 +194,8 @@ class CriticalSearchResult:
     restarts_used: int
 
 
-_STALL_WINDOW = 10
-_STALL_FACTOR = 1.0 - 1e-6
 _POLISH_SWEEPS = 60
-_NEWTON_STEPS = 20
+_NEWTON_STEPS = 30
 
 
 def critical_point_search(
@@ -222,22 +203,21 @@ def critical_point_search(
     restarts: int = 64,
     tol: float = 1e-8,
     seed: int = 0,
-    max_iters: int = MAX_ITERS,
 ) -> CriticalSearchResult:
     """Search for a critical point of the pairing on the sphere product.
 
-    Three stages run on all `restarts` starts at once, each seeded
-    seed+index.  Projected gradient descent with backtracking (initial
-    step 1.0, halving factor 0.5) runs until a row's gradient vanishes or
-    its residual stalls.  Alternating exact per-party minimization then
-    squeezes out the first-order method's slow tail, and damped
-    Gauss-Newton steps finish the rows whose critical point is singular.
-    The best residual is selected, so the verdict is deterministic under
-    any execution order.  found=True certifies degeneracy up to tol;
-    found=False reports the best residual as evidence.  A negative seed,
-    fewer than one restart or a tolerance that is not finite and
-    nonnegative raises DocumentInvalid; fewer than 2 or more than 8
-    parties raise UnsupportedFormat.
+    The tensor is divided by its Frobenius norm, and the reported residual
+    is critical_residual(state / |state|, witness): the verdict depends on
+    the state's direction only.  Two stages run on all `restarts` starts at
+    once, each seeded seed+index.  Alternating exact per-party
+    minimization drives every start towards a critical point, and
+    Levenberg-Marquardt steps with per-start damping finish the starts
+    whose critical point is singular.  The best residual is selected, so
+    the verdict is deterministic under any execution order.  found=True
+    certifies degeneracy up to tol; found=False reports the best residual
+    as evidence.  A negative seed, fewer than one restart or a tolerance
+    that is not finite and nonnegative raises DocumentInvalid; fewer than
+    2 or more than 8 parties raise UnsupportedFormat.
     """
     import numpy as np
     check_seed(seed)
@@ -245,7 +225,9 @@ def critical_point_search(
     if restarts < 1:
         raise DocumentInvalid(f"restarts must be at least 1, got {restarts}")
     _check_parties(state)
-    pairing = _Pairing(_tensor_array(state))
+    amps = _tensor_array(state)
+    amps = amps / np.abs(amps).max()  # keeps the squared norm below overflow
+    pairing = _Pairing(amps / np.linalg.norm(amps))
     dims, parts = pairing.dims, pairing.parts
     x = np.empty((restarts, pairing.starts[-1]), dtype=complex)
     for idx in range(restarts):
@@ -253,36 +235,6 @@ def critical_point_search(
         for p, d in enumerate(dims):
             vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             x[idx, parts[p]] = vec / np.linalg.norm(vec)
-
-    jac, partials, residual = pairing.evaluate(x)
-    active = np.ones(restarts, dtype=bool)
-    window = residual.copy()
-    for iteration in range(max_iters):
-        if not active.any():
-            break
-        conj_grad = _conj_gradient(jac, partials)
-        tangent = conj_grad - x * pairing.party_sums(np.real(x.conj() * conj_grad))
-        gnorm2 = _squared_norms(tangent)
-        active &= np.sqrt(gnorm2) >= GRAD_TOL
-        if not active.any():
-            break
-        alpha = np.where(active, 1.0, 0.0)
-        pending = active.copy()
-        for _ in range(MAX_HALVINGS):
-            cand = pairing.normalize(x - alpha[:, None] * tangent)
-            cand_jac, cand_partials, cand_res = pairing.evaluate(cand)
-            ok = pending & (cand_res <= residual - ARMIJO * alpha * gnorm2)
-            # an accepted row leaves `pending`, so no later halving reads its old values
-            _take_rows(ok, (x, jac, partials, residual), (cand, cand_jac, cand_partials, cand_res))
-            pending &= ~ok
-            if not pending.any():
-                break
-            alpha[pending] *= 0.5
-        active &= ~pending
-        if iteration % _STALL_WINDOW == _STALL_WINDOW - 1:
-            # hand rows with a stalled first-order tail over to the polish
-            active &= residual < window * _STALL_FACTOR
-            window = residual.copy()
 
     x = pairing.polish(x, _POLISH_SWEEPS)
     x, residual = pairing.newton_finish(x, _NEWTON_STEPS)

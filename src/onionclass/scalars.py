@@ -336,18 +336,17 @@ def as_float(value) -> complex:
     raise TypeError(f"cannot interpret {type(value).__name__} as a complex float")
 
 
-def approx_zero(value, scale: float, tol: float = DEFAULT_TOL) -> bool:
-    """Relative float zero test against the scale of the containing object."""
-    if scale <= 0.0:
-        return abs(value) == 0.0
-    return abs(value) <= tol * scale
-
-
 def scalar_is_zero(value, scale: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
-    """Mode-aware zero test: exact values test exactly, floats relative to scale."""
+    """Mode-aware zero test: exact values test exactly, floats relative to scale.
+
+    A float is zero when |value| <= tol * scale, the scale of the object
+    that contains it; at a scale of zero only an exact 0.0 is zero.
+    """
     if is_exact(value):
         return not value
-    return approx_zero(as_float(value), scale, tol)
+    if scale <= 0.0:
+        return abs(as_float(value)) == 0.0
+    return abs(as_float(value)) <= tol * scale
 
 
 def rational_sqrt(f: Fraction):

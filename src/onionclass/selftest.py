@@ -1,7 +1,7 @@
 """Acceptance battery: every release criterion as a deterministic check.
 
 Each check is seeded, runs at the stated trial counts and tolerances, and
-reports one pass/fail line.  The CLI's selftest command and the pytest
+reports one pass/fail line with its wall time.  The CLI's selftest command and the pytest
 acceptance module both dispatch into this file, so the gate is identical
 everywhere.  The quick level shrinks trial counts for a fast smoke run.
 """
@@ -9,6 +9,7 @@ everywhere.  The quick level shrinks trial counts for a fast smoke run.
 from __future__ import annotations
 
 import itertools
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +50,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check, set by run_one
 
 
 def _counts(level: str, quick: int, full: int) -> int:
@@ -437,9 +439,12 @@ CRITERIA_NAMES = [name for name, _ in CRITERIA]
 def run_one(name: str, level: str = "full") -> CheckResult:
     for key, fn in CRITERIA:
         if key == name:
-            return fn(level)
+            start = time.perf_counter()
+            result = fn(level)
+            result.seconds = time.perf_counter() - start
+            return result
     raise KeyError(f"unknown criterion {name!r}")
 
 
 def run(level: str = "full") -> list[CheckResult]:
-    return [fn(level) for _, fn in CRITERIA]
+    return [run_one(name, level) for name in CRITERIA_NAMES]

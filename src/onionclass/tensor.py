@@ -29,10 +29,10 @@ from .scalars import (
     EXACT,
     FLOAT,
     GaussianRational,
-    approx_zero,
     as_exact,
     as_float,
     is_exact,
+    scalar_is_zero,
 )
 
 
@@ -323,7 +323,7 @@ def local_operators(matrices: Sequence, tol: float = DEFAULT_TOL) -> LocalOperat
             dets.append(det)
             row_norms = np.linalg.norm(arr, axis=1)
             scale = float(np.prod(np.maximum(row_norms, 1e-300)))
-            flags.append(not approx_zero(det, scale, tol))
+            flags.append(not scalar_is_zero(det, scale, tol))
     return LocalOperatorTuple(tuple(ops), tuple(dets), tuple(flags))
 
 
@@ -378,7 +378,7 @@ def apply_local(state: StateTensor, ops: LocalOperatorTuple, tol: float = DEFAUL
     op_scale = 1.0
     for mat in ops.operators:
         op_scale *= max(abs(as_float(x)) for r in mat for x in r) or 1.0
-    if all(approx_zero(a, state.scale() * op_scale, tol) for a in floats):
+    if all(scalar_is_zero(a, state.scale() * op_scale, tol) for a in floats):
         raise ZeroState("state annihilated by a singular local operator")
     return StateTensor(fmt, floats, FLOAT)
 

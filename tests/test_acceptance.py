@@ -12,5 +12,6 @@ from onionclass import selftest
 @pytest.mark.parametrize("criterion", selftest.CRITERIA_NAMES)
 def test_criterion(criterion):
     result = selftest.run_one(criterion, level="full")
-    print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
+    print(f"{'PASS' if result.passed else 'FAIL'}  {result.name} ({result.seconds:.2f} s): {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+    assert result.seconds > 0

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from onionclass.scalars import (
     GaussianRational,
     QuadExt,
-    approx_zero,
     exact_sqrt,
     gaussian_sqrt,
     rational_sqrt,
+    scalar_is_zero,
 )
 
 
@@ -89,12 +89,12 @@ def test_quad_ext_mixed_radicands_rejected():
         a + b
 
 
-def test_approx_zero_relative():
-    assert approx_zero(1e-12, scale=1.0, tol=1e-9)
-    assert not approx_zero(1e-6, scale=1.0, tol=1e-9)
-    assert approx_zero(1e-6, scale=1e4, tol=1e-9)
-    assert approx_zero(0.0, scale=0.0, tol=1e-9)
-    assert not approx_zero(1e-300, scale=0.0, tol=1e-9)
+def test_scalar_is_zero_relative():
+    assert scalar_is_zero(1e-12, scale=1.0, tol=1e-9)
+    assert not scalar_is_zero(1e-6, scale=1.0, tol=1e-9)
+    assert scalar_is_zero(1e-6, scale=1e4, tol=1e-9)
+    assert scalar_is_zero(0.0, scale=0.0, tol=1e-9)
+    assert not scalar_is_zero(1e-300, scale=0.0, tol=1e-9)
 
 
 # --- properties against a (Fraction, Fraction) reference ---------------------
