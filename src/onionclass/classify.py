@@ -25,7 +25,6 @@ from .hyperdet import binary_form_coeffs, det3, det322, det4, generic4_state
 from .scalars import (
     DEFAULT_TOL,
     EXACT,
-    FLOAT,
     QuadExt,
     as_float,
     exact_sqrt,
@@ -121,18 +120,21 @@ class _BoundaryWatch:
         if self.tol / 10 < q <= 10 * self.tol:
             self.warn = True
 
+    def is_zero(self, value, scale: float) -> bool:
+        """The zero test of a decisive value, after checking it for the band."""
+        self.check(value, scale)
+        return scalar_is_zero(value, scale, self.tol)
+
 
 def _ranks_with_watch(state: StateTensor, watch: _BoundaryWatch, tol: float) -> tuple[int, ...]:
+    if state.field_tag == EXACT:
+        return tuple(cut_rank(state, [p], tol) for p in range(state.n_parties))
     ranks = []
     for p in range(state.n_parties):
-        ranks.append(cut_rank(state, [p], tol))
-        if state.field_tag == FLOAT:
-            import numpy as np
-            rows = linalg.float_matrix(flatten(state, [p]))
-            sv = np.linalg.svd(rows, compute_uv=False)
-            if sv[0] > 0:
-                for s in sv[1:]:
-                    watch.check(complex(s), float(sv[0]))
+        sv = linalg.singular_values(flatten(state, [p]))
+        ranks.append(linalg.float_rank(sv, tol))
+        for s in sv[1:]:
+            watch.check(s, sv[0])
     return tuple(ranks)
 
 
@@ -173,10 +175,8 @@ def _classify_3qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> C
         name = f"B{ones[0] + 1}"
     else:
         value = det3(state)
-        scale = det_scale(state, 4)
-        watch.check(value, scale)
         diag["det"] = value
-        name = "GHZ" if not scalar_is_zero(value, scale, tol) else "W"
+        name = "W" if watch.is_zero(value, det_scale(state, 4)) else "GHZ"
     diag["boundary_warning"] = watch.warn
     return ClassLabel(QUBIT3, name, ranks, ONION_LEVELS[QUBIT3][name], diag)
 
@@ -186,10 +186,8 @@ def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> Clas
     diag: dict = {"local_ranks": ranks}
     if ranks[0] == 3:
         value = det322(state)
-        scale = det_scale(state, 6)
-        watch.check(value, scale)
         diag["det"] = value
-        name = "GEN322" if not scalar_is_zero(value, scale, tol) else "DEG322"
+        name = "DEG322" if watch.is_zero(value, det_scale(state, 6)) else "GEN322"
     else:
         reduced, rank, _ = compress_party(state, 0, tol)
         if rank == 1:
@@ -205,15 +203,14 @@ def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> Clas
 
 def _classify_4qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> ClassLabel:
     value = det4(state)
-    scale = det_scale(state, 24)
-    watch.check(value, scale)
     ranks = _ranks_with_watch(state, watch, tol)
     diag: dict = {"det": value, "local_ranks": ranks}
-    if not scalar_is_zero(value, scale, tol):
+    if not watch.is_zero(value, det_scale(state, 24)):
         diag["boundary_warning"] = watch.warn
         return ClassLabel(QUBIT4, "GENERIC4", ranks, 0, diag)
-    cuts = [(p,) for p in range(4)] + [(0, 1), (0, 2), (0, 3)]
-    diag["cut_ranks"] = {cut: cut_rank(state, cut, tol) for cut in cuts}
+    cut_ranks = {(p,): r for p, r in enumerate(ranks)}
+    cut_ranks.update({cut: cut_rank(state, cut, tol) for cut in [(0, 1), (0, 2), (0, 3)]})
+    diag["cut_ranks"] = cut_ranks
     diag["separability"] = separability_pattern(state, tol)
     diag["boundary_warning"] = watch.warn
     return ClassLabel(QUBIT4, "DEGENERATE4", ranks, 1, diag)

@@ -236,10 +236,14 @@ def float_matrix(rows) -> np.ndarray:
     return np.array([[complex(x) for x in r] for r in rows], dtype=complex)
 
 
-def float_rank(matrix: np.ndarray, tol: float) -> int:
-    """Numerical rank: singular values above tol times the largest."""
+def singular_values(rows) -> np.ndarray:
+    """Singular values of a matrix of scalars, largest first."""
     import numpy as np
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    return np.linalg.svd(float_matrix(rows), compute_uv=False)
+
+
+def float_rank(sv: np.ndarray, tol: float) -> int:
+    """Numerical rank from descending singular values: those above tol times the largest."""
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int((sv > tol * sv[0]).sum())

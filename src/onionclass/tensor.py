@@ -214,27 +214,25 @@ def _check_cut(state: StateTensor, parties: Sequence[int]) -> tuple[int, ...]:
     return cut
 
 
+def _offsets(fmt: tuple[int, ...], parties: Sequence[int]) -> list[int]:
+    """Amplitude offsets of the parties' joint indices, row-major, the others at 0."""
+    offsets = [0]
+    for p in parties:
+        stride = math.prod(fmt[p + 1:])
+        offsets = [o + i * stride for o in offsets for i in range(fmt[p])]
+    return offsets
+
+
 def flatten(state: StateTensor, parties: Sequence[int]):
     """Bipartite-cut matrix: rows indexed by the cut parties, row-major.
 
     Returns a list of rows holding the original amplitude scalars.
     """
     cut = _check_cut(state, parties)
-    rest = tuple(p for p in range(state.n_parties) if p not in cut)
-    row_dims = [state.format[p] for p in cut]
-    col_dims = [state.format[p] for p in rest]
-    rows = []
-    for row_idx in itertools.product(*(range(d) for d in row_dims)):
-        row = []
-        for col_idx in itertools.product(*(range(d) for d in col_dims)):
-            multi = [0] * state.n_parties
-            for p, i in zip(cut, row_idx):
-                multi[p] = i
-            for p, i in zip(rest, col_idx):
-                multi[p] = i
-            row.append(state.amplitudes[state.offset(multi)])
-        rows.append(row)
-    return rows
+    rest = [p for p in range(state.n_parties) if p not in cut]
+    amps = state.amplitudes
+    cols = _offsets(state.format, rest)
+    return [[amps[r + c] for c in cols] for r in _offsets(state.format, cut)]
 
 
 def cut_rank(state: StateTensor, parties: Sequence[int], tol: float = DEFAULT_TOL) -> int:
@@ -242,7 +240,7 @@ def cut_rank(state: StateTensor, parties: Sequence[int], tol: float = DEFAULT_TO
     rows = flatten(state, parties)
     if state.field_tag == EXACT:
         return linalg.exact_rank(rows)
-    return linalg.float_rank(linalg.float_matrix(rows), tol)
+    return linalg.float_rank(linalg.singular_values(rows), tol)
 
 
 def local_ranks(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
@@ -262,9 +260,7 @@ def schmidt_coefficients(state: StateTensor, tol: float = DEFAULT_TOL):
         raise NotBipartite(f"format {state.format} is not bipartite")
     rows = flatten(state, [0])
     if state.field_tag == FLOAT:
-        import numpy as np
-        sv = np.linalg.svd(linalg.float_matrix(rows), compute_uv=False)
-        return tuple(float(s) for s in sv)
+        return tuple(float(s) for s in linalg.singular_values(rows))
     gram = [
         [
             sum(
@@ -425,9 +421,8 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
         transform, rank = linalg.exact_elimination_transform(rows)
     else:
         import numpy as np
-        mat = linalg.float_matrix(rows)
-        u, _, _ = np.linalg.svd(mat)
-        rank = linalg.float_rank(mat, tol)
+        u, sv, _ = np.linalg.svd(linalg.float_matrix(rows))
+        rank = linalg.float_rank(sv, tol)
         transform = [[complex(x) for x in row] for row in u.conj().T]
     amps = mode_product(state.amplitudes, state.format, party, transform[:rank])
     # a length-1 axis does not change row-major order, so rank 1 drops it as is

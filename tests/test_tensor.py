@@ -20,6 +20,7 @@ from onionclass import (
     float_state,
     from_terms,
     local_operators,
+    local_ranks,
     new_state,
     product_vector,
     random_state,
@@ -31,7 +32,8 @@ from onionclass import (
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible, rand_singular
 from onionclass.oracle import random_rational_state
-from onionclass.classify import RANKS_BY_NAME, class_catalog
+from onionclass.classify import RANKS_BY_NAME, class_catalog, classify
+from onionclass.linalg import float_rank
 from onionclass.tensor import compress_party
 
 
@@ -134,32 +136,61 @@ def test_rank_invariance_float_mode(rng):
 
 
 def test_exact_and_float_ranks_agree(rng):
-    for _ in range(25):
-        state = random_rational_state((2, 2, 2), int(rng.integers(1 << 30)))
-        floated = to_float(state)
-        for p in range(3):
-            assert cut_rank(state, [p]) == cut_rank(floated, [p])
+    # one float rank rule behind cut_rank, classify's local ranks and compress_party
+    assert float_rank(np.zeros(3), 1e-9) == 0
+    formats = {
+        (2, 2, 2): [(0,), (1,), (2,)],
+        (3, 2, 2): [(0,), (1,), (2,), (0, 1), (0, 2)],
+        (2, 2, 2, 2): [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)],
+    }
+    for fmt, cuts in formats.items():
+        for _ in range(25):
+            state = random_rational_state(fmt, int(rng.integers(1 << 30)))
+            ops = [rand_singular(rng, d) if rng.random() < 0.4 else rand_invertible(rng, d) for d in fmt]
+            try:
+                state = apply_local(state, local_operators(ops))
+            except ZeroState:
+                continue
+            floated = to_float(state)
+            for cut in cuts:
+                assert cut_rank(state, cut) == cut_rank(floated, cut)
+            exact_ranks = local_ranks(state)
+            assert classify(floated).local_ranks == exact_ranks
+            assert compress_party(floated, 0)[1] == exact_ranks[0]
 
 
 def test_flatten_unflatten_roundtrip(rng):
-    state = random_rational_state((2, 2, 2, 2), 99)
-    n = len(state.format)
-    for cut in [(0,), (1,), (0, 2), (1, 3)]:
-        rows = flatten(state, cut)
-        rest = tuple(p for p in range(n) if p not in cut)
-        rebuilt = {}
-        row_dims = [state.format[p] for p in cut]
-        col_dims = [state.format[p] for p in rest]
-        for ri, row_idx in enumerate(itertools.product(*(range(d) for d in row_dims))):
-            for ci, col_idx in enumerate(itertools.product(*(range(d) for d in col_dims))):
-                multi = [0] * n
-                for p, i in zip(cut, row_idx):
-                    multi[p] = i
-                for p, i in zip(rest, col_idx):
-                    multi[p] = i
-                rebuilt[tuple(multi)] = rows[ri][ci]
-        for multi in itertools.product(*(range(d) for d in state.format)):
-            assert rebuilt[multi] == state.amplitude(multi)
+    # unequal dimensions and a 5-party format expose stride and ordering mistakes;
+    # unsorted and repeated parties name the sorted cut
+    cases = {
+        (2, 2, 2, 2): [(0,), (1,), (0, 2), (1, 3)],
+        (3, 2, 2): [(0,), (2,), (1, 2), (2, 0), (1, 1)],
+        (2, 3, 2): [(1,), (0, 2), (2, 1), (1, 1)],
+        (3, 2, 4): [(0,), (2,), (0, 1), (2, 0), (1, 1)],
+        (2, 3, 2, 2, 3): [(1,), (4,), (1, 3), (4, 0, 2), (3, 1, 3)],
+    }
+    for seed, (fmt, cuts) in enumerate(cases.items(), 99):
+        state = random_rational_state(fmt, seed)
+        n = len(fmt)
+        for parties in cuts:
+            rows = flatten(state, parties)
+            cut = sorted(set(parties))
+            rest = tuple(p for p in range(n) if p not in cut)
+            row_dims = [fmt[p] for p in cut]
+            col_dims = [fmt[p] for p in rest]
+            assert len(rows) == math.prod(row_dims)
+            assert all(len(row) == math.prod(col_dims) for row in rows)
+            rebuilt = {}
+            for ri, row_idx in enumerate(itertools.product(*(range(d) for d in row_dims))):
+                for ci, col_idx in enumerate(itertools.product(*(range(d) for d in col_dims))):
+                    multi = [0] * n
+                    for p, i in zip(cut, row_idx):
+                        multi[p] = i
+                    for p, i in zip(rest, col_idx):
+                        multi[p] = i
+                    rebuilt[tuple(multi)] = rows[ri][ci]
+            for multi in itertools.product(*(range(d) for d in fmt)):
+                assert rebuilt[multi] == state.amplitude(multi)
 
 
 def test_schmidt_float_bell_and_product():
