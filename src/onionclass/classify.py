@@ -33,7 +33,6 @@ from .scalars import (
 )
 from .tensor import (
     StateTensor,
-    apply_local,
     check_tol,
     compress_party,
     cut_rank,
@@ -41,7 +40,8 @@ from .tensor import (
     flatten,
     from_terms,
     local_operators,
-    separability_pattern,
+    mode_product,
+    separability_blocks,
 )
 
 BIPARTITE = "bipartite"
@@ -55,35 +55,27 @@ ONION_LEVELS = {
     QUBIT4: {"GENERIC4": 0, "DEGENERATE4": 1},
 }
 
+_QUBIT3_RANKS = {
+    "GHZ": (2, 2, 2), "W": (2, 2, 2),
+    "B1": (1, 2, 2), "B2": (2, 1, 2), "B3": (2, 2, 1),
+    "S": (1, 1, 1),
+}
+
 RANKS_BY_NAME = {
-    QUBIT3: {
-        "GHZ": (2, 2, 2), "W": (2, 2, 2),
-        "B1": (1, 2, 2), "B2": (2, 1, 2), "B3": (2, 2, 1),
-        "S": (1, 1, 1),
-    },
-    FORMAT322: {
-        "GEN322": (3, 2, 2), "DEG322": (3, 2, 2),
-        "GHZ": (2, 2, 2), "W": (2, 2, 2),
-        "B1": (1, 2, 2), "B2": (2, 1, 2), "B3": (2, 2, 1),
-        "S": (1, 1, 1),
-    },
+    QUBIT3: _QUBIT3_RANKS,
+    FORMAT322: {"GEN322": (3, 2, 2), "DEG322": (3, 2, 2), **_QUBIT3_RANKS},
+}
+
+_QUBIT3_EDGES = {
+    "GHZ": {"B1", "B2", "B3"},
+    "W": {"B1", "B2", "B3"},
+    "B1": {"S"}, "B2": {"S"}, "B3": {"S"},
+    "S": set(),
 }
 
 _DAG_EDGES = {
-    QUBIT3: {
-        "GHZ": {"B1", "B2", "B3"},
-        "W": {"B1", "B2", "B3"},
-        "B1": {"S"}, "B2": {"S"}, "B3": {"S"},
-        "S": set(),
-    },
-    FORMAT322: {
-        "GEN322": {"GHZ", "W"},
-        "DEG322": {"GHZ", "W"},
-        "GHZ": {"B1", "B2", "B3"},
-        "W": {"B1", "B2", "B3"},
-        "B1": {"S"}, "B2": {"S"}, "B3": {"S"},
-        "S": set(),
-    },
+    QUBIT3: _QUBIT3_EDGES,
+    FORMAT322: {"GEN322": {"GHZ", "W"}, "DEG322": {"GHZ", "W"}, **_QUBIT3_EDGES},
     QUBIT4: {
         "GENERIC4": {"DEGENERATE4"},
         "DEGENERATE4": set(),
@@ -188,15 +180,13 @@ def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> Clas
         value = det322(state)
         diag["det"] = value
         name = "DEG322" if watch.is_zero(value, det_scale(state, 6)) else "GEN322"
+    elif ranks[0] == 1:
+        # the state is u (x) M, and M's rank is the local rank of parties 1 and 2
+        name = "B1" if ranks[1] == 2 else "S"
     else:
-        reduced, rank, _ = compress_party(state, 0, tol)
-        if rank == 1:
-            block_rank = cut_rank(reduced, [0], tol)
-            name = "B1" if block_rank == 2 else "S"
-        else:
-            inner = _classify_3qubit(reduced, watch, tol)
-            diag["embedded_det"] = inner.diagnostics.get("det")
-            name = inner.name
+        inner = _classify_3qubit(compress_party(state, 0, tol)[0], watch, tol)
+        diag["embedded_det"] = inner.diagnostics.get("det")
+        name = inner.name
     diag["boundary_warning"] = watch.warn
     return ClassLabel(FORMAT322, name, ranks, ONION_LEVELS[FORMAT322][name], diag)
 
@@ -211,29 +201,27 @@ def _classify_4qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> C
     cut_ranks = {(p,): r for p, r in enumerate(ranks)}
     cut_ranks.update({cut: cut_rank(state, cut, tol) for cut in [(0, 1), (0, 2), (0, 3)]})
     diag["cut_ranks"] = cut_ranks
-    diag["separability"] = separability_pattern(state, tol)
+    # the seven cuts are one side of each bipartition of the four parties
+    diag["separability"] = separability_blocks(4, [cut for cut, r in cut_ranks.items() if r == 1])
     diag["boundary_warning"] = watch.warn
     return ClassLabel(QUBIT4, "DEGENERATE4", ranks, 1, diag)
 
 
+_QUBIT3_TERMS = {
+    "GHZ": {(0, 0, 0): 1, (1, 1, 1): 1},
+    "W": {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1},
+    "B1": {(0, 0, 1): 1, (0, 1, 0): 1},
+    "B2": {(0, 0, 1): 1, (1, 0, 0): 1},
+    "B3": {(0, 1, 0): 1, (1, 0, 0): 1},
+    "S": {(0, 0, 0): 1},
+}
+
 _CATALOG_TERMS = {
-    QUBIT3: {
-        "GHZ": {(0, 0, 0): 1, (1, 1, 1): 1},
-        "W": {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1},
-        "B1": {(0, 0, 1): 1, (0, 1, 0): 1},
-        "B2": {(0, 0, 1): 1, (1, 0, 0): 1},
-        "B3": {(0, 1, 0): 1, (1, 0, 0): 1},
-        "S": {(0, 0, 0): 1},
-    },
+    QUBIT3: _QUBIT3_TERMS,
     FORMAT322: {
         "GEN322": {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (2, 1, 1): 1},
         "DEG322": {(0, 0, 0): 1, (1, 0, 1): 1, (2, 1, 1): 1},
-        "GHZ": {(0, 0, 0): 1, (1, 1, 1): 1},
-        "W": {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1},
-        "B1": {(0, 0, 1): 1, (0, 1, 0): 1},
-        "B2": {(0, 0, 1): 1, (1, 0, 0): 1},
-        "B3": {(0, 1, 0): 1, (1, 0, 0): 1},
-        "S": {(0, 0, 0): 1},
+        **_QUBIT3_TERMS,
     },
 }
 
@@ -343,24 +331,28 @@ def _inverse2(m):
             [_simplify(-m[1][0] / det), _simplify(m[0][0] / det)]]
 
 
-def _pivot(values, exact: bool) -> int:
+def _pivot(values) -> int:
     """Index of the first nonzero entry (exact) or of the largest magnitude (float)."""
-    if exact:
+    if is_exact(values[0]):
         return next(i for i, x in enumerate(values) if x)
     return max(range(len(values)), key=lambda i: abs(values[i]))
 
 
-def _send_to_e0(vec, exact: bool):
-    """Invertible 2x2 matrix mapping `vec` to the first basis vector."""
+def _first_row_completion(vec):
+    """Invertible 2x2 matrix whose first row is `vec`."""
     v0, v1 = vec
-    if _pivot(vec, exact) == 0:
-        m = [[v0, v0 * 0], [v1, v0 / v0]]
-    else:
-        m = [[v0, v1 / v1], [v1, v1 * 0]]
-    return _inverse2(m)
+    if _pivot(vec) == 0:
+        return [[v0, v1], [0, 1]]
+    return [[v0, v1], [1, 0]]
 
 
-def _pencil_root(c0, c1, c2, r, exact: bool):
+def _send_to_e0(vec):
+    """Invertible 2x2 matrix mapping `vec` to the first basis vector."""
+    m = _first_row_completion(vec)
+    return _inverse2([[m[0][0], m[1][0]], [m[0][1], m[1][1]]])
+
+
+def _pencil_root(c0, c1, c2, r):
     """Root (x0, x1) of c0 x0^2 + c1 x0 x1 + c2 x1^2, given a square root r of the discriminant.
 
     The two forms are proportional wherever both are nonzero; keeping the
@@ -368,31 +360,22 @@ def _pencil_root(c0, c1, c2, r, exact: bool):
     is an ordinary case.
     """
     forms = (2 * c2, r - c1, -c1 - r, 2 * c0)
-    k = 2 * (_pivot(forms, exact) // 2)
+    k = 2 * (_pivot(forms) // 2)
     return forms[k], forms[k + 1]
 
 
 def _pencil_slice(state: StateTensor, x):
     """The slice combination x0 A0 + x1 A1 of the party-0 pencil."""
-    a = state.amplitudes
-    return [[x[0] * a[2 * i + j] + x[1] * a[4 + 2 * i + j] for j in range(2)] for i in range(2)]
+    b = mode_product(state.amplitudes, state.format, 0, [x])
+    return [b[:2], b[2:]]
 
 
-def _rank1_factors(m, exact: bool):
-    """Column/row factorization v w^T of a rank-1 2x2 matrix."""
-    pi, pj = divmod(_pivot([m[0][0], m[0][1], m[1][0], m[1][1]], exact), 2)
-    v = (m[0][pj], m[1][pj])
-    w = (m[pi][0] / m[pi][pj], m[pi][1] / m[pi][pj])
+def _rank1_factors(rows):
+    """Column/row factorization v w^T of a rank-1 matrix, w equal to 1 at the pivot."""
+    pi, pj = divmod(_pivot([x for row in rows for x in row]), len(rows[0]))
+    v = [row[pj] for row in rows]
+    w = [x / rows[pi][pj] for x in rows[pi]]
     return v, w
-
-
-def _first_row_completion(vec, exact: bool):
-    """Invertible 2x2 matrix whose first row is `vec`."""
-    v0, v1 = vec
-    zero = v0 * 0
-    if _pivot(vec, exact) == 0:
-        return [[v0, v1], [zero, v0 / v0]]
-    return [[v0, v1], [v1 / v1, zero]]
 
 
 def canonicalize_3qubit(state: StateTensor, tol: float = DEFAULT_TOL):
@@ -409,87 +392,58 @@ def canonicalize_3qubit(state: StateTensor, tol: float = DEFAULT_TOL):
     if state.format != (2, 2, 2):
         raise WrongFormat(f"expected format (2, 2, 2), got {state.format}")
     label = classify(state, tol)
-    exact = state.field_tag == EXACT
     if label.name == "S":
-        ops = _canon_separable(state, exact)
+        ops = [_send_to_e0(_rank1_factors(flatten(state, [p]))[0]) for p in range(3)]
     elif label.name.startswith("B"):
-        ops = _canon_biseparable(state, int(label.name[1]) - 1, exact)
+        ops = _canon_biseparable(state, int(label.name[1]) - 1)
     elif label.name == "GHZ":
-        ops = _canon_ghz(state, exact)
+        ops = _canon_ghz(state)
     else:
-        ops = _canon_w(state, exact, tol)
+        ops = _canon_w(state)
     return local_operators(ops, tol), label
 
 
-def _canon_separable(state: StateTensor, exact: bool):
-    base = _pivot(state.amplitudes, exact)
-    i0, j0, k0 = base >> 2, (base >> 1) & 1, base & 1
-    u = (state.amplitude((0, j0, k0)), state.amplitude((1, j0, k0)))
-    v = (state.amplitude((i0, 0, k0)), state.amplitude((i0, 1, k0)))
-    w = (state.amplitude((i0, j0, 0)), state.amplitude((i0, j0, 1)))
-    return [_send_to_e0(u, exact), _send_to_e0(v, exact), _send_to_e0(w, exact)]
-
-
-def _canon_biseparable(state: StateTensor, party: int, exact: bool):
-    rows = flatten(state, [party])
-    col, i0 = divmod(_pivot([rows[i][c] for c in range(4) for i in range(2)], exact), 2)
-    u = (rows[0][col], rows[1][col])
-    others = [p for p in range(3) if p != party]
-    block = [[None, None], [None, None]]
-    for bi in range(2):
-        for bj in range(2):
-            multi = [0, 0, 0]
-            multi[party] = i0
-            multi[others[0]] = bi
-            multi[others[1]] = bj
-            block[bi][bj] = state.amplitude(multi) / u[i0]
-    # target block is the antidiagonal unit matrix J; send C -> J via J C^{-1}
-    inv = _inverse2(block)
-    j_times_inv = [inv[1], inv[0]]
-    one = u[i0] / u[i0]
-    zero = u[i0] * 0
-    ops = [None, None, None]
-    ops[party] = _send_to_e0(u, exact)
-    ops[others[0]] = j_times_inv
-    ops[others[1]] = [[one, zero], [zero, one]]
+def _canon_biseparable(state: StateTensor, party: int):
+    # the state is u (x) C with C a rank-2 block on the other two parties;
+    # J C^{-1} on the first of them sends C to the antidiagonal unit matrix J
+    u, c = _rank1_factors(flatten(state, [party]))
+    inv = _inverse2([c[:2], c[2:]])
+    ops = [[[1, 0], [0, 1]] for _ in range(3)]
+    ops[party] = _send_to_e0(u)
+    ops[1 if party == 0 else 0] = [inv[1], inv[0]]
     return ops
 
 
-def _canon_ghz(state: StateTensor, exact: bool):
+def _canon_ghz(state: StateTensor):
     c0, c1, c2 = binary_form_coeffs(state).coeffs
     disc = c1 * c1 - 4 * c0 * c2
-    root = exact_sqrt(disc) if exact else cmath.sqrt(disc)
+    root = exact_sqrt(disc) if is_exact(disc) else cmath.sqrt(disc)
     # the two distinct pencil roots make the party-0 slices rank 1
-    g0 = [_pencil_root(c0, c1, c2, root, exact), _pencil_root(c0, c1, c2, -root, exact)]
-    v0, w0 = _rank1_factors(_pencil_slice(state, g0[0]), exact)
-    v1, w1 = _rank1_factors(_pencil_slice(state, g0[1]), exact)
+    g0 = [_pencil_root(c0, c1, c2, root), _pencil_root(c0, c1, c2, -root)]
+    v0, w0 = _rank1_factors(_pencil_slice(state, g0[0]))
+    v1, w1 = _rank1_factors(_pencil_slice(state, g0[1]))
     q = _inverse2([[v0[0], v1[0]], [v0[1], v1[1]]])
     r = _inverse2([[w0[0], w1[0]], [w0[1], w1[1]]])
     return [g0, q, r]
 
 
-def _canon_w(state: StateTensor, exact: bool, tol: float):
+def _canon_w(state: StateTensor):
     c0, c1, c2 = binary_form_coeffs(state).coeffs
-    u = _pencil_root(c0, c1, c2, 0, exact)
+    u = _pencil_root(c0, c1, c2, 0)
     # at the double root the slice combination v w^T is rank 1 and its
     # kernels v-perp, w-perp complete the critical point; the rotated state
     # lands in the tangent section with only a011, a101, a110, a111 populated
-    v, w = _rank1_factors(_pencil_slice(state, u), exact)
-    g0 = _first_row_completion(u, exact)
-    g1 = _first_row_completion((-v[1], v[0]), exact)
-    g2 = _first_row_completion((-w[1], w[0]), exact)
-    section = apply_local(state, local_operators([g0, g1, g2], tol), tol)
-    a = section.amplitudes
-    one = a[3] / a[3]
-    zero = a[3] * 0
-    d0 = [[1 / a[3], zero], [zero, one]]
-    d1 = [[1 / a[5], zero], [zero, one]]
-    d2 = [[1 / a[6], zero], [zero, one]]
-    # each d_j is diag(1/a_x, 1), so it leaves a111 fixed: s is a111 of the section
-    s = a[7]
-    kill = [[one, zero], [-s, one]]
-    flip = [[zero, one], [one, zero]]
-    stage0 = _matmul2(flip, _matmul2(kill, _matmul2(d0, g0)))
-    stage1 = _matmul2(flip, _matmul2(d1, g1))
-    stage2 = _matmul2(flip, _matmul2(d2, g2))
-    return [stage0, stage1, stage2]
+    v, w = _rank1_factors(_pencil_slice(state, u))
+    g = [_first_row_completion(u), _first_row_completion((-v[1], v[0])),
+         _first_row_completion((-w[1], w[0]))]
+    a = state.amplitudes
+    for p in range(3):
+        a = mode_product(a, state.format, p, g[p])
+    # diag(1/a_x, 1) on each party leaves a111 fixed, the shear on party 0
+    # then clears it, and reversing the rows swaps the basis vectors
+    scale = [
+        [[1 / a[3], 0], [-a[7] / a[3], 1]],
+        [[1 / a[5], 0], [0, 1]],
+        [[1 / a[6], 0], [0, 1]],
+    ]
+    return [_matmul2(scale[p], g[p])[::-1] for p in range(3)]

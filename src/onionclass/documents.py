@@ -93,14 +93,6 @@ def parse_ensemble_document(doc) -> Ensemble:
     return ensemble(members)
 
 
-def ensemble_document(ens: Ensemble) -> dict:
-    members = []
-    for weight, state in ens.members:
-        w = frac_str(weight) if isinstance(weight, Fraction) else float(weight)
-        members.append({"weight": w, "state": state_document(state)})
-    return {"members": members}
-
-
 def scalar_json(value):
     """JSON form of a result scalar.
 

@@ -384,28 +384,19 @@ def separability_pattern(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[
 
     Blocks are the equivalence classes of "never separated by a rank-1
     cut"; for pure states a cut has rank 1 exactly when the state factors
-    across it.
+    across it.  Each bipartition is ranked once, by its side holding party 0.
     """
     n = state.n_parties
-    rank_one_cuts = []
-    others = list(range(1, n))
-    for r in range(0, n - 1):
-        for combo in itertools.combinations(others, r):
-            cut = (0,) + combo
-            if cut_rank(state, cut, tol) == 1:
-                rank_one_cuts.append(set(cut))
-    blocks: list[set[int]] = []
-    for p in range(n):
-        placed = False
-        for block in blocks:
-            q = next(iter(block))
-            if all((p in cut) == (q in cut) for cut in rank_one_cuts):
-                block.add(p)
-                placed = True
-                break
-        if not placed:
-            blocks.append({p})
-    return tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
+    cuts = [(0,) + combo for r in range(n - 1) for combo in itertools.combinations(range(1, n), r)]
+    return separability_blocks(n, [cut for cut in cuts if cut_rank(state, cut, tol) == 1])
+
+
+def separability_blocks(n_parties: int, rank_one_cuts) -> tuple[tuple[int, ...], ...]:
+    """Parties grouped by the side they take in every rank-1 cut, blocks ordered by least party."""
+    blocks: dict[tuple, list[int]] = {}
+    for p in range(n_parties):
+        blocks.setdefault(tuple(p in cut for cut in rank_one_cuts), []).append(p)
+    return tuple(tuple(b) for b in blocks.values())
 
 
 def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):

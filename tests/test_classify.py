@@ -21,6 +21,7 @@ from onionclass import (
     random_state,
     reachable,
     representative,
+    separability_pattern,
     states_proportional,
     to_float,
 )
@@ -169,10 +170,19 @@ def test_canonicalize_examples(ghz):
 
 
 def test_canonicalize_all_classes_pushed(rng):
+    eye, flip = [[1, 0], [0, 1]], [[0, 1], [1, 0]]
     for name, rep in class_catalog(QUBIT3).items():
-        for _ in range(6):
-            ops = local_operators([rand_invertible(rng, 2) for _ in range(3)])
-            state = apply_local(rep, ops)
+        pushed = [
+            apply_local(rep, local_operators([rand_invertible(rng, 2) for _ in range(3)]))
+            for _ in range(6)
+        ]
+        # the zero amplitudes of unpushed and flipped representatives move the
+        # exact first-nonzero pivot away from index 0
+        sparse = [rep] + [
+            apply_local(rep, local_operators([flip if q == p else eye for q in range(3)]))
+            for p in range(3)
+        ]
+        for state in pushed + sparse + [to_float(s) for s in sparse]:
             back, label = canonicalize_3qubit(state)
             assert label.name == name
             assert states_proportional(apply_local(state, back), representative(label))
@@ -285,6 +295,32 @@ def test_float_w4_pushed_is_degenerate(rng):
     for _ in range(20):
         pushed = apply_local(w4, _random_complex_ops(rng, (2, 2, 2, 2)))
         assert classify(pushed).name == "DEGENERATE4"
+
+
+_BELL_01_23 = {(0, 0, 0, 0): 1, (0, 0, 1, 1): 1, (1, 1, 0, 0): 1, (1, 1, 1, 1): 1}
+_BELL_02_13 = {(0, 0, 0, 0): 1, (0, 1, 0, 1): 1, (1, 0, 1, 0): 1, (1, 1, 1, 1): 1}
+
+
+@pytest.mark.parametrize("terms, blocks", [
+    ({(0, 0, 0, 1): 1, (0, 0, 1, 0): 1, (0, 1, 0, 0): 1, (1, 0, 0, 0): 1}, ((0, 1, 2, 3),)),
+    ({(0, 0, 0, 0): 1, (1, 1, 1, 1): 1}, ((0, 1, 2, 3),)),
+    (_BELL_01_23, ((0, 1), (2, 3))),
+    (_BELL_02_13, ((0, 2), (1, 3))),
+    ({(0, 0, 0, 0): 1, (0, 1, 1, 1): 1}, ((0,), (1, 2, 3))),
+    ({(0, 0, 0, 0): 1, (1, 1, 1, 0): 1}, ((0, 1, 2), (3,))),
+    ({(0, 0, 0, 0): 1}, ((0,), (1,), (2,), (3,))),
+], ids=["W4", "GHZ4", "bell01-bell23", "bell02-bell13", "0-ghz3", "ghz3-0", "product"])
+def test_degenerate4_separability_matches_pattern(rng, terms, blocks):
+    rep = from_terms((2, 2, 2, 2), terms)
+    for _ in range(3):
+        pushed = apply_local(rep, local_operators([rand_invertible(rng, 2) for _ in range(4)]))
+        for state in (pushed, to_float(pushed)):
+            label = classify(state)
+            assert label.name == "DEGENERATE4"
+            assert list(label.diagnostics["cut_ranks"]) == [
+                (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)
+            ]
+            assert label.diagnostics["separability"] == separability_pattern(state) == blocks
 
 
 def test_float_format322_pushed_keeps_label(rng):
