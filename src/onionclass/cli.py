@@ -8,16 +8,15 @@ All defaults can also come from ONION_* environment variables.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
-import secrets
 import sys
 
 import click
 
 from . import mixed as mixed_mod
 from . import oracle as oracle_mod
-from . import selftest as selftest_mod
 from . import tensor as tensor_mod
 from .classify import canonicalize_3qubit, classify, reachable, representative
 from .hyperdet import concurrence, hyperdet, three_tangle
@@ -216,6 +215,7 @@ def cmd_oracle(input_path, output, restarts, seed, tol):
     """Search for a critical point witnessing a zero hyperdeterminant."""
     state = parse_state_document(_read_document(input_path))
     if seed is None:
+        import secrets
         seed = secrets.randbits(32)
     result = oracle_mod.critical_point_search(state, restarts=restarts, tol=tol, seed=seed)
     report = {
@@ -251,6 +251,7 @@ def cmd_random(format_spec, seed, mode, output):
     except ValueError:
         raise SystemExit(_fail("DocumentInvalid", f"cannot parse format {format_spec!r}"))
     if seed is None:
+        import secrets
         seed = secrets.randbits(32)
     if mode == FLOAT:
         state = tensor_mod.random_state(fmt, seed)
@@ -283,17 +284,26 @@ def cmd_mixed(input_path, output, tol):
 @main.command("selftest")
 @click.option("--level", default="quick", type=click.Choice(["quick", "full"]),
               envvar="ONION_SELFTEST_LEVEL")
-def cmd_selftest(level):
-    """Run the acceptance battery and print one line per criterion, with its wall time."""
+@click.option("--json", "as_json", is_flag=True, help="Print one JSON object instead of text lines.")
+def cmd_selftest(level, as_json):
+    """Run the acceptance battery and print one line per criterion, with its wall time.
+
+    With --json the report is one object: the level, the pass count and a
+    list of {name, passed, seconds, detail}.  The exit code is 1 when any
+    criterion fails, either way.
+    """
+    from . import selftest as selftest_mod
     results = selftest_mod.run(level)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        if not res.passed:
-            failed += 1
-        click.echo(f"{status}  {res.name} ({res.seconds:.2f} s): {res.detail}")
-    click.echo(f"{len(results) - failed}/{len(results)} criteria passed ({level} level)")
-    if failed:
+    passed = sum(res.passed for res in results)
+    if as_json:
+        report = {"level": level, "passed": passed, "results": [dataclasses.asdict(res) for res in results]}
+        click.echo(json.dumps(report, indent=2))
+    else:
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            click.echo(f"{status}  {res.name} ({res.seconds:.2f} s): {res.detail}")
+        click.echo(f"{passed}/{len(results)} criteria passed ({level} level)")
+    if passed < len(results):
         raise SystemExit(1)
 
 

@@ -4,11 +4,13 @@ Degeneracy of a state tensor is witnessed by a critical point of the
 pairing: a product vector at which every first partial derivative
 vanishes.  The oracle hunts for one from many starts over the product of
 unit spheres, in two stages built on one kernel of second partials:
-alternating per-party minimization, then a Gauss-Newton finish whose
-damping adapts per start.  The tensor is rescaled to unit norm first, so
-the verdict does not depend on the state's scale.  A FOUND verdict
-certifies a zero hyperdeterminant up to tolerance, while NOT-FOUND is
-evidence only.
+alternating exact per-party minimization (in closed form for a qubit
+party, by eigh otherwise), then a Gauss-Newton finish whose damping
+adapts per start.  The kernel's contraction plans are built once per
+state and replayed on every iterate.  The tensor is rescaled to unit
+norm first, so the verdict does not depend on the state's scale.  A
+FOUND verdict certifies a zero hyperdeterminant up to tolerance, while
+NOT-FOUND is evidence only.
 """
 
 from __future__ import annotations
@@ -60,36 +62,56 @@ class _Pairing:
         self.parts = [slice(self.starts[p], self.starts[p + 1]) for p in range(self.n)]
         # left operand of the one unbatched contraction with each party
         self.unfoldings = [np.moveaxis(amps, p, 0).reshape(d, -1) for p, d in enumerate(self.dims)]
-        self.pairs = [(j, m) for j in range(self.n) for m in range(j + 1, self.n)]
+        self.pairs = tuple((j, m) for j in range(self.n) for m in range(j + 1, self.n))
+        self.touching = [tuple(pair for pair in self.pairs if j in pair) for j in range(self.n)]
+        self.plans = {pairs: self._plan(pairs) for pairs in (self.pairs, *self.touching)}
+
+    def _plan(self, pairs) -> tuple:
+        """The contraction steps behind blocks(x, pairs), and the step each block reads.
+
+        The other parties of a pair are contracted in ascending order: the
+        first by one matmul against its unfolding, each further one, q, by
+        batched matmul on the source step's partial contraction reshaped
+        to (batch, a, d_q, -1).  A step is (source step or None, q, (a,
+        d_q)); pairs that share a prefix of contracted parties share its
+        steps.  A block reads None when no party is left to contract.
+        """
+        steps, slot_of, reads = [], {}, []
+        for j, m in pairs:
+            rest = tuple(p for p in range(self.n) if p not in (j, m))  # ascending, so q sits at q - i
+            slot = None
+            for i, q in enumerate(rest):
+                done, key = rest[:i], rest[:i + 1]
+                if key not in slot_of:
+                    left = [d for p, d in enumerate(self.dims) if p not in done]
+                    steps.append((slot, q, (math.prod(left[:q - i]), left[q - i])))
+                    slot_of[key] = len(steps) - 1
+                slot = slot_of[key]
+            reads.append(((j, m), slot))
+        return steps, reads
 
     def blocks(self, x: np.ndarray, pairs) -> dict:
-        """H_jm as a (B, d_j, d_m) array for each pair (j, m) with j < m.
+        """H_jm as a (B, d_j, d_m) array for each pair (j, m) of a planned pair set.
 
-        The other parties are contracted in ascending order: the first by
-        one matmul against its unfolding, each further one by batched
-        matmul.  Pairs that share a prefix of contracted parties share its
-        partial contraction.
+        The planned sets are all pairs and each party's touching pairs;
+        this replays the set's contraction plan (see _plan).
         """
         import numpy as np
         batch = x.shape[0]
-        memo = {}
+        steps, reads = self.plans[pairs]
+        memo = []
+        for source, q, left in steps:
+            if source is None:
+                memo.append(x[:, self.parts[q]] @ self.unfoldings[q])
+            else:
+                t = memo[source].reshape((batch,) + left + (-1,))
+                memo.append((x[:, None, None, self.parts[q]] @ t).reshape(batch, -1))
         out = {}
-        for j, m in pairs:
-            rest = tuple(p for p in range(self.n) if p not in (j, m))
-            if not rest:
+        for (j, m), slot in reads:
+            if slot is None:
                 out[j, m] = np.broadcast_to(self.amps, (batch,) + self.dims)
-                continue
-            key = rest[:1]
-            if key not in memo:
-                memo[key] = x[:, self.parts[rest[0]]] @ self.unfoldings[rest[0]]
-            for q in rest[1:]:
-                done, key = key, key + (q,)
-                if key not in memo:
-                    left = [d for p, d in enumerate(self.dims) if p not in done]
-                    at = q - sum(p < q for p in done)
-                    t = memo[done].reshape(batch, math.prod(left[:at]), left[at], -1)
-                    memo[key] = (x[:, None, None, self.parts[q]] @ t).reshape(batch, -1)
-            out[j, m] = memo[key].reshape(batch, self.dims[j], self.dims[m])
+            else:
+                out[j, m] = memo[slot].reshape(batch, self.dims[j], self.dims[m])
         return out
 
     def evaluate(self, x: np.ndarray):
@@ -108,24 +130,42 @@ class _Pairing:
         norms = np.sqrt(np.add.reduceat(np.abs(x) ** 2, self.starts[:-1], axis=1))
         return x / np.repeat(norms, self.dims, axis=1)
 
+    def random_rows(self, count: int, seed: int) -> np.ndarray:
+        """`count` random rows of unit factors, row i drawn from default_rng(seed + i).
+
+        Each row takes one draw of 2D standard normals: for each party in
+        turn, d real parts and then d imaginary parts.
+        """
+        import numpy as np
+        width = self.starts[-1]
+        real = np.repeat(self.starts[:-1], self.dims) + np.arange(width)
+        imag = real + np.repeat(self.dims, self.dims)
+        draws = np.array([np.random.default_rng(seed + i).standard_normal(2 * width) for i in range(count)])
+        return self.normalize(draws[:, real] + 1j * draws[:, imag])
+
     def polish(self, x: np.ndarray, sweeps: int) -> np.ndarray:
         """Alternating exact per-party minimization of the residual.
 
         With every other factor fixed, the residual is a Hermitian
         quadratic form in the remaining one plus a constant: its matrix is
         conj(R) R^T for the row R of J that belongs to the party.  Its
-        sphere-constrained minimizer is the smallest eigenvector.  Each
-        sweep is monotone.
+        sphere-constrained minimizer is the smallest eigenvector, taken in
+        closed form from R for a qubit party (_qubit_minimizer) and from
+        eigh otherwise.  Each sweep is monotone.
         """
         import numpy as np
         for _ in range(sweeps):
             for j in range(self.n):
-                touching = [(a, b) for a, b in self.pairs if j in (a, b)]
-                blocks = self.blocks(x, touching)
+                blocks = self.blocks(x, self.touching[j])
                 row = np.concatenate(
                     [h if a == j else h.transpose(0, 2, 1) for (a, _), h in blocks.items()], axis=2)
-                _, vecs = np.linalg.eigh(row.conj() @ row.transpose(0, 2, 1))
-                x[:, self.parts[j]] = vecs[:, :, 0]
+                if self.dims[j] == 2:
+                    sq = (row.real ** 2 + row.imag ** 2).sum(axis=2)
+                    cross = (row[:, 0].conj() * row[:, 1]).sum(axis=1)
+                    x[:, self.parts[j]] = _qubit_minimizer(sq[:, 0], cross, sq[:, 1])
+                else:
+                    _, vecs = np.linalg.eigh(row.conj() @ row.transpose(0, 2, 1))
+                    x[:, self.parts[j]] = vecs[:, :, 0]
         return x
 
     def newton_finish(self, x: np.ndarray, steps: int):
@@ -157,6 +197,29 @@ class _Pairing:
             for whole, part in zip((x, jac, partials, residual), (cand, cand_jac, cand_partials, cand_res)):
                 whole[better] = part[better]
         return x, residual
+
+
+def _qubit_minimizer(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unit minimizers (B, 2) of the Hermitian forms [[a, b], [conj(b), c]] on the sphere.
+
+    With h = (a - c)/2 and r = hypot(h, |b|) the smallest eigenvalue is
+    (a + c)/2 - r, and both (-b, h + r) and (r - h, -conj(b)) span its
+    eigenspace.  The first is taken for h >= 0 and the second otherwise,
+    so the real entry is s = |h| + r and never cancels, and both have
+    length hypot(|b|, s), which does not underflow where |b|^2 does.  A
+    form with s = 0 (zero, or a multiple of the identity) maps to e0, as
+    eigh does.
+    """
+    import numpy as np
+    h = (a - c) / 2
+    mag = np.abs(b)
+    s = np.abs(h) + np.hypot(h, mag)
+    upper = h >= 0
+    flat = s == 0
+    v = np.empty(a.shape + (2,), dtype=complex)
+    v[:, 0] = np.where(upper, -b, s) + flat
+    v[:, 1] = np.where(upper, s, -b.conj())
+    return v / (np.hypot(mag, s) + flat)[:, None]
 
 
 def _conj_gradient(jac: np.ndarray, partials: np.ndarray) -> np.ndarray:
@@ -228,22 +291,14 @@ def critical_point_search(
     amps = _tensor_array(state)
     amps = amps / np.abs(amps).max()  # keeps the squared norm below overflow
     pairing = _Pairing(amps / np.linalg.norm(amps))
-    dims, parts = pairing.dims, pairing.parts
-    x = np.empty((restarts, pairing.starts[-1]), dtype=complex)
-    for idx in range(restarts):
-        rng = np.random.default_rng(seed + idx)
-        for p, d in enumerate(dims):
-            vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            x[idx, parts[p]] = vec / np.linalg.norm(vec)
-
-    x = pairing.polish(x, _POLISH_SWEEPS)
+    x = pairing.polish(pairing.random_rows(restarts, seed), _POLISH_SWEEPS)
     x, residual = pairing.newton_finish(x, _NEWTON_STEPS)
 
     best = int(np.argmin(residual))
     best_residual = float(residual[best])
     witness = None
     if best_residual <= tol:
-        witness = ProductVector(tuple(tuple(complex(v) for v in x[best, part]) for part in parts))
+        witness = ProductVector(tuple(tuple(complex(v) for v in x[best, part]) for part in pairing.parts))
     return CriticalSearchResult(best_residual <= tol, witness, best_residual, restarts)
 
 

@@ -345,3 +345,32 @@ def test_bad_tolerance_exits_2(bad):
         assert json.loads(result.output)["error"] == "DocumentInvalid"
     with pytest.raises(DocumentInvalid):
         critical_point_search(random_state((2, 2, 2), 1), restarts=1, tol=float(bad))
+
+
+def test_selftest_json_report(monkeypatch):
+    from onionclass import selftest
+
+    picked = ["class-catalog", "slice-swap-signs"]
+    monkeypatch.setattr(selftest, "run", lambda level: [selftest.run_one(name, level) for name in picked])
+    result = _run(["selftest", "--json"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["level"] == "quick"
+    assert report["passed"] == 2
+    assert [entry["name"] for entry in report["results"]] == picked
+    for entry in report["results"]:
+        assert set(entry) == {"name", "passed", "seconds", "detail"}
+        assert entry["passed"] is True
+        assert entry["seconds"] > 0
+        assert isinstance(entry["detail"], str)
+    # a failing criterion exits 1 in both outputs, and the text lines keep their form
+    monkeypatch.setattr(selftest, "run", lambda level: [selftest.CheckResult("broken", False, "forced", 0.5)])
+    result = _run(["selftest", "--json", "--level", "full"])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "level": "full", "passed": 0,
+        "results": [{"name": "broken", "passed": False, "seconds": 0.5, "detail": "forced"}],
+    }
+    result = _run(["selftest"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["FAIL  broken (0.50 s): forced", "0/1 criteria passed (quick level)"]

@@ -243,3 +243,71 @@ def test_newton_finish_never_raises_a_residual(family, name):
     assert np.all(after <= before)
     assert np.any(after < before)
     np.testing.assert_allclose(pairing.evaluate(finished)[2], after, rtol=1e-9, atol=1e-30)
+
+
+def _forms():
+    """(a, b, c) of 2x2 Hermitian forms [[a, b], [conj(b), c]]: random, rank-1, zero, scalar, near-degenerate."""
+    rng = np.random.default_rng(41)
+    rows = rng.standard_normal((20, 2, 5)) + 1j * rng.standard_normal((20, 2, 5))
+    rows[5:10, 1] = (0.3 - 2j) * rows[5:10, 0]  # rank 1
+    rows[10:12] = 0
+    a = (np.abs(rows[:, 0]) ** 2).sum(axis=1)
+    c = (np.abs(rows[:, 1]) ** 2).sum(axis=1)
+    b = (rows[:, 0].conj() * rows[:, 1]).sum(axis=1)
+    a = np.concatenate([a, [2.5, 1.0, 1.0, 1.0, 1.0 + 1e-15]])
+    c = np.concatenate([c, [2.5, 1.0, 1.0, 1.0 + 1e-16, 1.0]])
+    b = np.concatenate([b, [0, 1e-300, -3e-300j, 1e-300 + 1e-300j, 2e-300]])
+    return a, b, c
+
+
+def test_qubit_minimizer_matches_eigh():
+    a, b, c = _forms()
+    forms = np.stack([np.stack([a, b], axis=1), np.stack([b.conj(), c], axis=1)], axis=1)
+    vecs = oracle._qubit_minimizer(a, b, c)
+    np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=1e-15)
+    rayleigh = np.einsum("zi,zij,zj->z", vecs.conj(), forms, vecs).real
+    lowest = np.linalg.eigvalsh(forms)[:, 0]
+    assert np.all(np.abs(rayleigh - lowest) <= 1e-12 * (a + c))
+    flat = (a == c) & (b == 0)  # zero and scalar forms
+    assert flat.sum() == 3
+    np.testing.assert_array_equal(vecs[flat], np.linalg.eigh(forms[flat])[1][:, :, 0])
+
+
+def _eigh_polish(pairing, x, sweeps):
+    """The polish with every party's minimizer taken from eigh of conj(R) R^T."""
+    for _ in range(sweeps):
+        for j, part in enumerate(pairing.parts):
+            blocks = pairing.blocks(x, pairing.touching[j])
+            row = np.concatenate([h if a == j else h.transpose(0, 2, 1) for (a, _), h in blocks.items()], axis=2)
+            x[:, part] = np.linalg.eigh(row.conj() @ row.transpose(0, 2, 1))[1][:, :, 0]
+    return x
+
+
+@pytest.mark.parametrize("fmt", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 2, 2)],
+                         ids=lambda fmt: "x".join(map(str, fmt)))
+def test_closed_form_polish_matches_eigh_reference(fmt):
+    rng = np.random.default_rng(len(fmt) * 7 + fmt[1])
+    amps = rng.standard_normal(fmt) + 1j * rng.standard_normal(fmt)
+    pairing = oracle._Pairing(amps / np.linalg.norm(amps))
+    start = pairing.random_rows(12, 3)
+    closed = pairing.evaluate(pairing.polish(start.copy(), 10))[2]
+    reference = pairing.evaluate(_eigh_polish(pairing, start.copy(), 10))[2]
+    np.testing.assert_allclose(closed, reference, rtol=1e-10)
+
+
+@pytest.mark.parametrize("fmt", [(2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 2, 2)],
+                         ids=lambda fmt: "x".join(map(str, fmt)))
+def test_random_rows_match_per_party_draws(fmt):
+    # one draw of 2D normals per row is the stream of d real and then d imaginary draws per party
+    pairing = oracle._Pairing(np.ones(fmt, dtype=complex))
+    raw = np.empty((40, pairing.starts[-1]), dtype=complex)
+    unit = np.empty_like(raw)
+    for idx in range(40):
+        rng = np.random.default_rng(9 + idx)
+        for part, d in zip(pairing.parts, fmt):
+            raw[idx, part] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            unit[idx, part] = raw[idx, part] / np.linalg.norm(raw[idx, part])
+    rows = pairing.random_rows(40, 9)
+    np.testing.assert_array_equal(rows, pairing.normalize(raw))
+    # normalize and np.linalg.norm sum the squares in different orders
+    np.testing.assert_allclose(rows, unit, rtol=0, atol=2 * np.finfo(float).eps)
