@@ -400,7 +400,7 @@ def canonicalize_3qubit(state: StateTensor, tol: float = DEFAULT_TOL):
         ops = _canon_ghz(state)
     else:
         ops = _canon_w(state)
-    return local_operators(ops, tol), label
+    return local_operators(ops), label
 
 
 def _canon_biseparable(state: StateTensor, party: int):

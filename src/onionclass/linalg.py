@@ -2,7 +2,9 @@
 
 The exact routines are generic over any scalar supporting field arithmetic
 and truthiness as a zero test (GaussianRational and QuadExt both qualify).
-Matrices are plain lists of lists; every routine works on copies.
+Determinant, rank, elimination transform and solve all read one row-echelon
+elimination (`_echelon`).  Matrices are plain lists of lists; every routine
+works on copies.
 """
 
 from __future__ import annotations
@@ -17,56 +19,60 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _copy(rows):
-    return [list(r) for r in rows]
+def _echelon(rows, n_pivot: int):
+    """Row-echelon form of a copy of `rows` by exact Gaussian elimination.
+
+    Pivots are sought in the leading `n_pivot` columns only, each column's
+    first nonzero entry at or below the current rank; any further columns
+    ride along with the row operations (a solve's right-hand side, or the
+    identity block that becomes the transform E).  Returns (m, pivots,
+    swaps): the reduced rows, the pivot column of each of the leading
+    len(pivots) rows, and the number of row swaps made.
+    """
+    m = [list(r) for r in rows]
+    n_rows = len(m)
+    width = len(m[0]) if m else 0
+    pivots = []
+    swaps = 0
+    for col in range(n_pivot):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
+        pivot_row = next((i for i in range(rank, n_rows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            swaps += 1
+        top = m[rank]
+        pivot = top[col]
+        for i in range(rank + 1, n_rows):
+            row = m[i]
+            if row[col]:
+                factor = row[col] / pivot
+                for j in range(col, width):
+                    row[j] = row[j] - factor * top[j]
+        pivots.append(col)
+    return m, pivots, swaps
 
 
 def exact_det(rows):
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant: the signed product of the echelon pivots, a field zero when singular."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    m = _copy(rows)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return m[k][k] * 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num / prev
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
+    m, pivots, swaps = _echelon(rows, n)
+    if len(pivots) < n:
+        return rows[0][0] * 0
+    result = m[0][0]
+    for i in range(1, n):
+        result = result * m[i][i]
+    return -result if swaps % 2 else result
 
 
 def exact_rank(rows) -> int:
     """Rank by exact row elimination."""
-    if not rows:
-        return 0
-    m = _copy(rows)
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            if m[i][col]:
-                factor = m[i][col] / pivot
-                for j in range(col, n_cols):
-                    m[i][j] = m[i][j] - factor * m[rank][j]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def exact_elimination_transform(rows):
@@ -74,48 +80,20 @@ def exact_elimination_transform(rows):
 
     Used to rotate a flattening so its row space occupies the leading rows.
     """
-    m = _copy(rows)
-    n_rows = len(m)
-    n_cols = len(m[0])
+    n_rows, n_cols = len(rows), len(rows[0])
     one = GaussianRational(1)
     zero = GaussianRational(0)
-    e = [[one if i == j else zero for j in range(n_rows)] for i in range(n_rows)]
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        e[rank], e[pivot_row] = e[pivot_row], e[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            if m[i][col]:
-                factor = m[i][col] / pivot
-                for j in range(n_cols):
-                    m[i][j] = m[i][j] - factor * m[rank][j]
-                for j in range(n_rows):
-                    e[i][j] = e[i][j] - factor * e[rank][j]
-        rank += 1
-        if rank == n_rows:
-            break
-    return e, rank
+    augmented = [list(r) + [one if i == j else zero for j in range(n_rows)] for i, r in enumerate(rows)]
+    m, pivots, _ = _echelon(augmented, n_cols)
+    return [r[n_cols:] for r in m], len(pivots)
 
 
 def exact_solve(a_rows, b_vec):
-    """Solve a square exact system by Gaussian elimination."""
+    """Solve a square exact system by elimination and back substitution."""
     n = len(a_rows)
-    m = [list(a_rows[i]) + [b_vec[i]] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if m[i][col]), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("singular system")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                factor = m[i][col] / pivot
-                for j in range(col, n + 1):
-                    m[i][j] = m[i][j] - factor * m[col][j]
+    m, pivots, _ = _echelon([list(a_rows[i]) + [b_vec[i]] for i in range(n)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular system")
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = m[i][n]

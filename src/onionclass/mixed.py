@@ -8,6 +8,7 @@ with the same density matrix can legitimately get different answers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,8 +59,8 @@ def ensemble(members, tol: float = DEFAULT_TOL) -> Ensemble:
             weight = Fraction(weight)
         else:
             weight = float(weight)
-        if weight <= 0:
-            raise SizeMismatch("ensemble weights must be positive")
+        if not 0 < weight < math.inf:
+            raise SizeMismatch("ensemble weights must be finite and positive")
         packed.append((weight, state))
     if not packed:
         raise EmptyEnsemble("an ensemble needs at least one member")

@@ -191,8 +191,8 @@ def check_relative_invariance(level: str) -> CheckResult:
             ops = _rand_invertible_tuple(rng, fmt)
             lhs = hyperdet(tensor_mod.apply_local(state, ops)).value
             factor = GaussianRational(1)
-            for det, e in zip(ops.determinants, exps):
-                factor = factor * det**e
+            for op, e in zip(ops.operators, exps):
+                factor = factor * exact_det(op)**e
             if lhs != factor * hyperdet(state).value:
                 failures.append(f"invariance {fmt} trial {trial}")
             lam = GaussianRational(Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 4))),

@@ -8,6 +8,7 @@ and so on.  Party indices in the API are 0-based.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,15 +91,9 @@ class ProductVector:
 
 @dataclass(frozen=True)
 class LocalOperatorTuple:
-    """One square matrix per party, with cached determinants."""
+    """One square matrix per party, all exact or all complex float."""
 
     operators: tuple
-    determinants: tuple
-    invertible: tuple
-
-    @property
-    def all_invertible(self) -> bool:
-        return all(self.invertible)
 
 
 def det_scale(state: StateTensor, degree: int = 1) -> float:
@@ -126,10 +121,10 @@ def _infer_field(amplitudes) -> str:
 
 
 def check_format(format: Sequence[int]) -> tuple[int, ...]:
-    """The format as a tuple of ints; BadDimension for a party dimension below 2."""
+    """The format as a tuple of ints; BadDimension when it is empty or a party dimension is below 2."""
     fmt = tuple(int(d) for d in format)
-    if any(d < 2 for d in fmt):
-        raise BadDimension(f"party dimensions must be at least 2, got {fmt}")
+    if not fmt or any(d < 2 for d in fmt):
+        raise BadDimension(f"a format needs one or more parties, each of dimension at least 2, got {fmt}")
     return fmt
 
 
@@ -150,8 +145,9 @@ def check_tol(tol: float) -> float:
 def new_state(format: Sequence[int], amplitudes: Sequence, field_tag: str | None = None) -> StateTensor:
     """Validate and build a state tensor.
 
-    Raises BadDimension for party dimensions below 2, FormatMismatch when
-    the amplitude count is off, and ZeroState for the all-zero tensor.
+    Raises BadDimension for an empty format or party dimensions below 2,
+    FormatMismatch when the amplitude count is off, DocumentInvalid for a
+    NaN or infinite float amplitude, and ZeroState for the all-zero tensor.
     """
     fmt = check_format(format)
     amps = tuple(amplitudes)
@@ -167,6 +163,8 @@ def new_state(format: Sequence[int], amplitudes: Sequence, field_tag: str | None
             raise ZeroState("all amplitudes are zero")
     elif field_tag == FLOAT:
         amps = tuple(as_float(a) for a in amps)
+        if not all(cmath.isfinite(a) for a in amps):
+            raise DocumentInvalid("float amplitudes must be finite")
         if not any(a != 0 for a in amps):
             raise ZeroState("all amplitudes are zero")
     else:
@@ -289,38 +287,19 @@ def _coerce_entry(x):
     return as_float(x)
 
 
-def local_operators(matrices: Sequence, tol: float = DEFAULT_TOL) -> LocalOperatorTuple:
-    """Wrap per-party square matrices, caching determinants and flags.
+def local_operators(matrices: Sequence) -> LocalOperatorTuple:
+    """Wrap per-party square matrices; SizeMismatch for a non-square one.
 
     Integer and Fraction entries are promoted to the exact field.  A float
     or complex entry anywhere in the tuple makes every entry of every
     operator a complex float, so a tuple is all exact or all float.
     """
     mats = [tuple(tuple(_coerce_entry(x) for x in r) for r in mat) for mat in matrices]
-    exact = all(is_exact(x) for rows in mats for r in rows for x in r)
-    if not exact:
+    if not all(is_exact(x) for rows in mats for r in rows for x in r):
         mats = [tuple(tuple(as_float(x) for x in r) for r in rows) for rows in mats]
-    ops = []
-    dets = []
-    flags = []
-    for rows in mats:
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise SizeMismatch("local operators must be square")
-        ops.append(rows)
-        if exact:
-            det = linalg.exact_det([list(r) for r in rows])
-            dets.append(det)
-            flags.append(bool(det))
-        else:
-            import numpy as np
-            arr = linalg.float_matrix(rows)
-            det = complex(np.linalg.det(arr))
-            dets.append(det)
-            row_norms = np.linalg.norm(arr, axis=1)
-            scale = float(np.prod(np.maximum(row_norms, 1e-300)))
-            flags.append(not scalar_is_zero(det, scale, tol))
-    return LocalOperatorTuple(tuple(ops), tuple(dets), tuple(flags))
+    if any(len(r) != len(rows) for rows in mats for r in rows):
+        raise SizeMismatch("local operators must be square")
+    return LocalOperatorTuple(tuple(mats))
 
 
 def mode_product(amps: tuple, fmt: tuple[int, ...], party: int, matrix) -> tuple:

@@ -85,6 +85,9 @@ def test_malformed_documents_never_panic():
         json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[1, 0]] * 4, "seed": "7"}),
         json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[1, 0]] * 4, "seed": 1.5}),
         json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[1, 0]] * 4, "seed": True}),
+        json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[float("nan"), 0]] + [[1, 0]] * 3}),
+        json.dumps({"format": [2, 2], "mode": "float", "amplitudes": [[1, 0]] * 3 + [[0, float("inf")]]}),
+        json.dumps({"format": [], "amplitudes": [[1, 0]], "mode": "float"}),
     ]:
         result = _run(["classify"], stdin=bad)
         assert result.exit_code == 2, bad

@@ -53,6 +53,8 @@ def test_ensemble_validation(ghz):
     with pytest.raises(SizeMismatch):
         ensemble([(Fraction(-1, 2), ghz), (Fraction(3, 2), ghz)])
     with pytest.raises(SizeMismatch):
+        ensemble([(float("nan"), ghz)])
+    with pytest.raises(SizeMismatch):
         ensemble([(HALF, ghz), (HALF, from_terms((2, 2), {(0, 0): 1}))])
     with pytest.raises(UnsupportedFormat):
         ensemble_upper_class(ensemble([(Fraction(1), from_terms((2, 2), {(0, 0): 1}))]))

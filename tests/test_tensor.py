@@ -123,10 +123,9 @@ def test_rank_invariance_float_mode(rng):
             (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))).tolist()
             for _ in range(3)
         ]
-        ops = local_operators(mats)
-        if not ops.all_invertible:
+        if min(abs(np.linalg.det(np.array(m))) for m in mats) < 1e-9:
             continue
-        moved = apply_local(state, ops)
+        moved = apply_local(state, local_operators(mats))
         for p in range(3):
             assert cut_rank(moved, [p]) == cut_rank(state, [p])
         projector = local_operators([[[1, 0], [0, 0]], mats[1], mats[2]])
