@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedFormat,
     WrongFormat,
 )
-from .hyperdet import binary_form_coeffs, det3, det322, det4, generic4_state
+from .hyperdet import binary_form_coeffs, generic4_state, hyperdet
 from .scalars import (
     DEFAULT_TOL,
     EXACT,
@@ -41,6 +41,7 @@ from .tensor import (
     from_terms,
     local_operators,
     mode_product,
+    pivot_index,
     separability_blocks,
 )
 
@@ -94,40 +95,38 @@ class ClassLabel:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-class _BoundaryWatch:
-    """Collects decisive float quantities and flags the ambiguous band.
+class _Decisions:
+    """The zero tests of one classification, each through scalar_is_zero at `tol`.
 
-    A decisive value whose normalized magnitude falls within a decade of
-    the zero threshold (tol/10 .. 10 tol) earns a boundary warning.
+    A float value tested against its scale whose normalized magnitude q
+    lies in the band tol/10 < q <= 10 tol, within a decade of the zero
+    threshold, sets `warn`, reported as diagnostics["boundary_warning"].
     """
 
     def __init__(self, tol: float):
         self.tol = tol
         self.warn = False
 
-    def check(self, value, scale: float):
-        if is_exact(value) or scale <= 0:
-            return
-        q = abs(as_float(value)) / scale
-        if self.tol / 10 < q <= 10 * self.tol:
-            self.warn = True
-
     def is_zero(self, value, scale: float) -> bool:
-        """The zero test of a decisive value, after checking it for the band."""
-        self.check(value, scale)
+        if not is_exact(value) and scale > 0:
+            self.warn |= bool(self.tol / 10 < abs(as_float(value)) / scale <= 10 * self.tol)
         return scalar_is_zero(value, scale, self.tol)
 
+    def local_ranks(self, state: StateTensor) -> tuple[int, ...]:
+        """Each party's rank: exact elimination, or 1 plus the singular values not zero against the largest."""
+        if state.field_tag == EXACT:
+            return tuple(cut_rank(state, [p]) for p in range(state.n_parties))
+        ranks = []
+        for p in range(state.n_parties):
+            sv = linalg.singular_values(flatten(state, [p]))
+            ranks.append(1 + sum(not self.is_zero(s, sv[0]) for s in sv[1:]))
+        return tuple(ranks)
 
-def _ranks_with_watch(state: StateTensor, watch: _BoundaryWatch, tol: float) -> tuple[int, ...]:
-    if state.field_tag == EXACT:
-        return tuple(cut_rank(state, [p], tol) for p in range(state.n_parties))
-    ranks = []
-    for p in range(state.n_parties):
-        sv = linalg.singular_values(flatten(state, [p]))
-        ranks.append(linalg.float_rank(sv, tol))
-        for s in sv[1:]:
-            watch.check(s, sv[0])
-    return tuple(ranks)
+    def hyperdet_is_zero(self, state: StateTensor, diag: dict) -> bool:
+        """Record hyperdet(state) as diag["det"] and test it against det_scale at its degree."""
+        result = hyperdet(state)
+        diag["det"] = result.value
+        return self.is_zero(result.value, det_scale(state, result.degree))
 
 
 def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
@@ -140,25 +139,25 @@ def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
     """
     check_tol(tol)
     fmt = state.format
-    watch = _BoundaryWatch(tol)
+    decide = _Decisions(tol)
     if len(fmt) == 2:
         if fmt[0] != fmt[1]:
             raise UnsupportedFormat(f"bipartite classification needs a square format, got {fmt}")
-        ranks = _ranks_with_watch(state, watch, tol)
+        ranks = decide.local_ranks(state)
         r = ranks[0]
-        diag = {"boundary_warning": watch.warn}
+        diag = {"boundary_warning": decide.warn}
         return ClassLabel(BIPARTITE, f"S{r}", ranks, fmt[0] - r, diag)
     if fmt == (2, 2, 2):
-        return _classify_3qubit(state, watch, tol)
+        return _classify_3qubit(state, decide)
     if fmt == (3, 2, 2):
-        return _classify_322(state, watch, tol)
+        return _classify_322(state, decide)
     if fmt == (2, 2, 2, 2):
-        return _classify_4qubit(state, watch, tol)
+        return _classify_4qubit(state, decide)
     raise UnsupportedFormat(f"no classifier for format {fmt}")
 
 
-def _classify_3qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> ClassLabel:
-    ranks = _ranks_with_watch(state, watch, tol)
+def _classify_3qubit(state: StateTensor, decide: _Decisions) -> ClassLabel:
+    ranks = decide.local_ranks(state)
     ones = [p for p, r in enumerate(ranks) if r == 1]
     diag: dict = {"local_ranks": ranks}
     if len(ones) == 3:
@@ -166,44 +165,40 @@ def _classify_3qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> C
     elif len(ones) >= 1:
         name = f"B{ones[0] + 1}"
     else:
-        value = det3(state)
-        diag["det"] = value
-        name = "W" if watch.is_zero(value, det_scale(state, 4)) else "GHZ"
-    diag["boundary_warning"] = watch.warn
+        name = "W" if decide.hyperdet_is_zero(state, diag) else "GHZ"
+    diag["boundary_warning"] = decide.warn
     return ClassLabel(QUBIT3, name, ranks, ONION_LEVELS[QUBIT3][name], diag)
 
 
-def _classify_322(state: StateTensor, watch: _BoundaryWatch, tol: float) -> ClassLabel:
-    ranks = _ranks_with_watch(state, watch, tol)
+def _classify_322(state: StateTensor, decide: _Decisions) -> ClassLabel:
+    ranks = decide.local_ranks(state)
     diag: dict = {"local_ranks": ranks}
     if ranks[0] == 3:
-        value = det322(state)
-        diag["det"] = value
-        name = "DEG322" if watch.is_zero(value, det_scale(state, 6)) else "GEN322"
+        name = "DEG322" if decide.hyperdet_is_zero(state, diag) else "GEN322"
     elif ranks[0] == 1:
         # the state is u (x) M, and M's rank is the local rank of parties 1 and 2
         name = "B1" if ranks[1] == 2 else "S"
     else:
-        inner = _classify_3qubit(compress_party(state, 0, tol)[0], watch, tol)
+        inner = _classify_3qubit(compress_party(state, 0, decide.tol)[0], decide)
         diag["embedded_det"] = inner.diagnostics.get("det")
         name = inner.name
-    diag["boundary_warning"] = watch.warn
+    diag["boundary_warning"] = decide.warn
     return ClassLabel(FORMAT322, name, ranks, ONION_LEVELS[FORMAT322][name], diag)
 
 
-def _classify_4qubit(state: StateTensor, watch: _BoundaryWatch, tol: float) -> ClassLabel:
-    value = det4(state)
-    ranks = _ranks_with_watch(state, watch, tol)
-    diag: dict = {"det": value, "local_ranks": ranks}
-    if not watch.is_zero(value, det_scale(state, 24)):
-        diag["boundary_warning"] = watch.warn
+def _classify_4qubit(state: StateTensor, decide: _Decisions) -> ClassLabel:
+    diag: dict = {}
+    zero = decide.hyperdet_is_zero(state, diag)
+    ranks = diag["local_ranks"] = decide.local_ranks(state)
+    if not zero:
+        diag["boundary_warning"] = decide.warn
         return ClassLabel(QUBIT4, "GENERIC4", ranks, 0, diag)
     cut_ranks = {(p,): r for p, r in enumerate(ranks)}
-    cut_ranks.update({cut: cut_rank(state, cut, tol) for cut in [(0, 1), (0, 2), (0, 3)]})
+    cut_ranks.update({cut: cut_rank(state, cut, decide.tol) for cut in [(0, 1), (0, 2), (0, 3)]})
     diag["cut_ranks"] = cut_ranks
     # the seven cuts are one side of each bipartition of the four parties
     diag["separability"] = separability_blocks(4, [cut for cut, r in cut_ranks.items() if r == 1])
-    diag["boundary_warning"] = watch.warn
+    diag["boundary_warning"] = decide.warn
     return ClassLabel(QUBIT4, "DEGENERATE4", ranks, 1, diag)
 
 
@@ -331,17 +326,10 @@ def _inverse2(m):
             [_simplify(-m[1][0] / det), _simplify(m[0][0] / det)]]
 
 
-def _pivot(values) -> int:
-    """Index of the first nonzero entry (exact) or of the largest magnitude (float)."""
-    if is_exact(values[0]):
-        return next(i for i, x in enumerate(values) if x)
-    return max(range(len(values)), key=lambda i: abs(values[i]))
-
-
 def _first_row_completion(vec):
     """Invertible 2x2 matrix whose first row is `vec`."""
     v0, v1 = vec
-    if _pivot(vec) == 0:
+    if pivot_index(vec) == 0:
         return [[v0, v1], [0, 1]]
     return [[v0, v1], [1, 0]]
 
@@ -360,7 +348,7 @@ def _pencil_root(c0, c1, c2, r):
     is an ordinary case.
     """
     forms = (2 * c2, r - c1, -c1 - r, 2 * c0)
-    k = 2 * (_pivot(forms) // 2)
+    k = 2 * (pivot_index(forms) // 2)
     return forms[k], forms[k + 1]
 
 
@@ -372,7 +360,7 @@ def _pencil_slice(state: StateTensor, x):
 
 def _rank1_factors(rows):
     """Column/row factorization v w^T of a rank-1 matrix, w equal to 1 at the pivot."""
-    pi, pj = divmod(_pivot([x for row in rows for x in row]), len(rows[0]))
+    pi, pj = divmod(pivot_index([x for row in rows for x in row]), len(rows[0]))
     v = [row[pj] for row in rows]
     w = [x / rows[pi][pj] for x in rows[pi]]
     return v, w

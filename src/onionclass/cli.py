@@ -126,7 +126,7 @@ def cmd_hyperdet(input_path, output, tol):
     }
     # near zero: inside classify's zero band or the decade above it
     if state.field_tag == FLOAT and state.format == (2, 2, 2, 2) and scalar_is_zero(
-        result.value, tensor_mod.det_scale(state, 24), 10 * tol
+        result.value, tensor_mod.det_scale(state, result.degree), 10 * tol
     ):
         report["warning"] = (
             "degree-24 float evaluation is ill-conditioned near zero; use exact mode"

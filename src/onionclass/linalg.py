@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, scalar_is_zero
 
 if TYPE_CHECKING:
     import numpy as np
@@ -221,7 +221,5 @@ def singular_values(rows) -> np.ndarray:
 
 
 def float_rank(sv: np.ndarray, tol: float) -> int:
-    """Numerical rank from descending singular values: those above tol times the largest."""
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int((sv > tol * sv[0]).sum())
+    """Numerical rank from descending singular values: those not zero against the largest."""
+    return sum(not scalar_is_zero(s, sv[0], tol) for s in sv)

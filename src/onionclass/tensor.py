@@ -78,13 +78,8 @@ class ProductVector:
     def __eq__(self, other):
         if not isinstance(other, ProductVector):
             return NotImplemented
-        return self.projectively_equal(other)
-
-    def projectively_equal(self, other: "ProductVector", tol: float = DEFAULT_TOL) -> bool:
-        if len(self.factors) != len(other.factors):
-            return False
-        return all(
-            len(mine) == len(theirs) and _rays_equal(mine, theirs, tol)
+        return len(self.factors) == len(other.factors) and all(
+            len(mine) == len(theirs) and _rays_equal(mine, theirs, DEFAULT_TOL)
             for mine, theirs in zip(self.factors, other.factors)
         )
 
@@ -158,7 +153,8 @@ def new_state(format: Sequence[int], amplitudes: Sequence, field_tag: str | None
     if field_tag is None:
         field_tag = _infer_field(amps)
     if field_tag == EXACT:
-        amps = tuple(as_exact(a) for a in amps)
+        # extension scalars (QuadExt), as canonical operators give, stay as they are
+        amps = tuple(a if is_exact(a) else as_exact(a) for a in amps)
         if not any(amps):
             raise ZeroState("all amplitudes are zero")
     elif field_tag == FLOAT:
@@ -246,7 +242,7 @@ def local_ranks(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[int, ...]
     return tuple(cut_rank(state, [p], tol) for p in range(state.n_parties))
 
 
-def schmidt_coefficients(state: StateTensor, tol: float = DEFAULT_TOL):
+def schmidt_coefficients(state: StateTensor):
     """Bipartite Schmidt data.
 
     Float mode returns the singular values of the 1|2 flattening in
@@ -320,10 +316,15 @@ def mode_product(amps: tuple, fmt: tuple[int, ...], party: int, matrix) -> tuple
     return tuple(out)
 
 
-def apply_local(state: StateTensor, ops: LocalOperatorTuple, tol: float = DEFAULT_TOL) -> StateTensor:
+def apply_local(state: StateTensor, ops: LocalOperatorTuple) -> StateTensor:
     """Act with one operator per party: a'_i = sum_j g1[i1,j1]...gn[in,jn] a_j.
 
-    Raises ZeroState when a singular operator annihilates the state.
+    A float state or float operators make the result float.  The result is
+    built by new_state, so float amplitudes that overflow raise
+    DocumentInvalid.  Raises ZeroState when a singular operator annihilates
+    the state: exactly in exact mode, and in float mode when every
+    amplitude is zero against the state's scale times each operator's
+    largest entry.
     """
     if len(ops.operators) != state.n_parties:
         raise SizeMismatch("operator count does not match party count")
@@ -332,30 +333,19 @@ def apply_local(state: StateTensor, ops: LocalOperatorTuple, tol: float = DEFAUL
             raise SizeMismatch(
                 f"operator for party {p} is {len(mat)}x{len(mat)}, expected {state.format[p]}"
             )
-    ops_exact = all(is_exact(x) for mat in ops.operators for r in mat for x in r)
-    if state.field_tag == EXACT and not ops_exact:
+    matrices = ops.operators
+    if state.field_tag == FLOAT or not is_exact(matrices[0][0][0]):
         state = to_float(state)
-    if state.field_tag == FLOAT and ops_exact:
-        matrices = tuple(
-            tuple(tuple(as_float(x) for x in row) for row in mat) for mat in ops.operators
-        )
-    else:
-        matrices = ops.operators
-    fmt = state.format
+        matrices = [[[as_float(x) for x in row] for row in mat] for mat in matrices]
     out = state.amplitudes
     for p, mat in enumerate(matrices):
-        out = mode_product(out, fmt, p, mat)
-    if state.field_tag == EXACT:
-        if not any(out):
+        out = mode_product(out, state.format, p, mat)
+    pushed = new_state(state.format, out, state.field_tag)
+    if pushed.field_tag == FLOAT:
+        scale = state.scale() * math.prod(max(abs(x) for r in mat for x in r) or 1.0 for mat in matrices)
+        if all(scalar_is_zero(a, scale) for a in pushed.amplitudes):
             raise ZeroState("state annihilated by a singular local operator")
-        return StateTensor(fmt, out, EXACT)
-    floats = tuple(as_float(a) for a in out)
-    op_scale = 1.0
-    for mat in ops.operators:
-        op_scale *= max(abs(as_float(x)) for r in mat for x in r) or 1.0
-    if all(scalar_is_zero(a, state.scale() * op_scale, tol) for a in floats):
-        raise ZeroState("state annihilated by a singular local operator")
-    return StateTensor(fmt, floats, FLOAT)
+    return pushed
 
 
 def separability_pattern(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[tuple[int, ...], ...]:
@@ -401,11 +391,9 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
     return StateTensor(new_fmt, amps, state.field_tag), rank, transform
 
 
-def random_state(format: Sequence[int], seed: int, distribution: str = "unit-gaussian-complex") -> StateTensor:
+def random_state(format: Sequence[int], seed: int) -> StateTensor:
     """Seeded random float state: iid standard complex gaussian, unit norm."""
     import numpy as np
-    if distribution != "unit-gaussian-complex":
-        raise ValueError(f"unsupported distribution {distribution!r}")
     fmt = check_format(format)
     rng = np.random.default_rng(check_seed(seed))
     size = math.prod(fmt)
@@ -415,31 +403,36 @@ def random_state(format: Sequence[int], seed: int, distribution: str = "unit-gau
 
 
 def states_proportional(a: StateTensor, b: StateTensor, tol: float = DEFAULT_TOL) -> bool:
-    """Whether two states are equal as rays (proportional amplitudes)."""
+    """Whether two states are equal as rays: a = r b for one scalar r.
+
+    Exact states compare exactly.  Float amplitudes match when each
+    a_i - r b_i is zero against max|a| + |r b_i| at 10 tol, the rule of
+    np.allclose with rtol = 10 tol and atol = 10 tol max|a|.
+    """
     if a.format != b.format:
         return False
     return _rays_equal(a.amplitudes, b.amplitudes, tol)
 
 
-def _rays_equal(a: Sequence, b: Sequence, tol: float) -> bool:
-    """Whether amplitude sequence `a` is a multiple of `b`.
+def pivot_index(values: Sequence) -> int:
+    """Index of the first nonzero entry (exact) or of the largest magnitude (float)."""
+    if is_exact(values[0]):
+        return next(i for i, x in enumerate(values) if x)
+    return max(range(len(values)), key=lambda i: abs(values[i]))
 
-    The pivot is b's first nonzero entry (exact) or its largest (float).
-    """
-    if is_exact(a[0]) and is_exact(b[0]):
-        pivot = next(i for i, x in enumerate(b) if x)
-        if not a[pivot]:
-            return False
-        ratio = a[pivot] / b[pivot]
-        return all(x == y * ratio for x, y in zip(a, b))
-    import numpy as np
-    va = np.array([as_float(x) for x in a])
-    vb = np.array([as_float(x) for x in b])
-    pivot = int(np.argmax(np.abs(vb)))
-    if va[pivot] == 0:
+
+def _rays_equal(a: Sequence, b: Sequence, tol: float) -> bool:
+    """Whether amplitude sequence `a` is r b, r read at b's pivot (see states_proportional)."""
+    exact = is_exact(a[0]) and is_exact(b[0])
+    if not exact:
+        a, b = [as_float(x) for x in a], [as_float(x) for x in b]
+    pivot = pivot_index(b)
+    if not a[pivot]:
         return False
-    ratio = va[pivot] / vb[pivot]
-    return bool(np.allclose(va, vb * ratio, rtol=10 * tol, atol=10 * tol * np.abs(va).max()))
+    ratio = a[pivot] / b[pivot]
+    top = 0.0 if exact else max(abs(x) for x in a)
+    # an exact difference is tested exactly, so its scale stays 0.0 and unread
+    return all(scalar_is_zero(x - (rb := y * ratio), top and top + abs(rb), 10 * tol) for x, y in zip(a, b))
 
 
 def norm_squared(state: StateTensor):

@@ -277,6 +277,27 @@ def test_boundary_warning_near_class_border():
     assert not classify(clean).diagnostics["boundary_warning"]
 
 
+# float states whose one decisive quantity has normalized magnitude q
+_BAND_CASES = {
+    "local-rank": lambda q: from_terms((2, 2), {(0, 0): 1.0, (1, 1): q}, field_tag="float"),
+    "det3": lambda q: from_terms(
+        (2, 2, 2), {(0, 0, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): 1.0, (1, 1, 1): q / 4}, field_tag="float"
+    ),
+    "det322": lambda q: from_terms(
+        (3, 2, 2), {(0, 0, 0): 1.0, (1, 0, 1): 1.0, (2, 1, 1): 1.0, (1, 1, 0): q}, field_tag="float"
+    ),
+    # det4 is about 1.03e-3 delta^2 near the vanishing hyperplane alpha - beta - gamma - delta = 0
+    "det4": lambda q: generic4_state(1, 0.5, 0.3, 0.2 - (q / 1.03e-3) ** 0.5, field_tag="float"),
+}
+
+
+@pytest.mark.parametrize("case", _BAND_CASES)
+@pytest.mark.parametrize("q, warn", [(5e-11, False), (2e-10, True), (5e-9, True), (2e-8, False)])
+def test_boundary_warning_band(case, q, warn):
+    # the band is tol/10 < q <= 10 tol at the default tol = 1e-9
+    assert classify(_BAND_CASES[case](q)).diagnostics["boundary_warning"] is warn
+
+
 def test_label_identity():
     a = classify(class_catalog(QUBIT3)["GHZ"])
     b = ClassLabel(QUBIT3, "GHZ", (2, 2, 2), 0, {"extra": 1})

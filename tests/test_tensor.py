@@ -29,6 +29,7 @@ from onionclass import (
     states_proportional,
     to_float,
 )
+from onionclass.errors import DocumentInvalid
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible, rand_singular
 from onionclass.oracle import random_rational_state
@@ -229,6 +230,12 @@ def test_apply_local_examples(ghz):
     assert projected.amplitudes == from_terms((2, 2, 2), {(0, 0, 0): 1}).amplitudes
 
 
+def test_apply_local_overflow_is_document_invalid(ghz):
+    huge = local_operators([[[1e200, 0], [0, 1e200]]] * 3)
+    with pytest.raises(DocumentInvalid):
+        apply_local(to_float(ghz), huge)
+
+
 def test_apply_local_zero_state(ghz):
     kill = [[0, 0], [0, 0]]
     ident = [[1, 0], [0, 1]]
@@ -276,6 +283,19 @@ def test_states_proportional(ghz):
     doubled = new_state((2, 2, 2), [a * GR(0, 2) for a in ghz.amplitudes])
     assert states_proportional(doubled, ghz)
     assert not states_proportional(ghz, from_terms((2, 2, 2), {(0, 0, 0): 1}))
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    # the float ratio is read at b's largest entry, not at its first nonzero one
+    ([0.0, 2.0, 0.0, 0.0], [1e-12, 1.0, 0.0, 0.0], True),
+    ([1.0, 0.0, 0.0, 0.0], [1e-12, 1.0, 0.0, 0.0], False),
+    # a_3 - 2 b_3 against 10 tol (max|a| + |2 b_3|) = 2.25e-8
+    ([2.0, 1.0, 0.5, 0.25 + 0.9 * 2.25e-8], [1.0, 0.5, 0.25, 0.125], True),
+    ([2.0, 1.0, 0.5, 0.25 + 1.1 * 2.25e-8], [1.0, 0.5, 0.25, 0.125], False),
+])
+def test_float_ray_equality_pivot_and_edge(a, b, equal):
+    assert states_proportional(float_state((2, 2), a), float_state((2, 2), b)) is equal
+    assert (product_vector([a]) == product_vector([b])) is equal
 
 
 def _kron(a, b):
