@@ -112,15 +112,15 @@ class _Decisions:
             self.warn |= bool(self.tol / 10 < abs(as_float(value)) / scale <= 10 * self.tol)
         return scalar_is_zero(value, scale, self.tol)
 
-    def local_ranks(self, state: StateTensor) -> tuple[int, ...]:
-        """Each party's rank: exact elimination, or 1 plus the singular values not zero against the largest."""
+    def rank(self, state: StateTensor, cut) -> int:
+        """A cut's rank: exact elimination, or 1 plus the singular values not zero against the largest."""
         if state.field_tag == EXACT:
-            return tuple(cut_rank(state, [p]) for p in range(state.n_parties))
-        ranks = []
-        for p in range(state.n_parties):
-            sv = linalg.singular_values(flatten(state, [p]))
-            ranks.append(1 + sum(not self.is_zero(s, sv[0]) for s in sv[1:]))
-        return tuple(ranks)
+            return cut_rank(state, cut)
+        sv = linalg.singular_values(flatten(state, cut))
+        return 1 + sum(not self.is_zero(s, sv[0]) for s in sv[1:])
+
+    def local_ranks(self, state: StateTensor) -> tuple[int, ...]:
+        return tuple(self.rank(state, (p,)) for p in range(state.n_parties))
 
     def hyperdet_is_zero(self, state: StateTensor, diag: dict) -> bool:
         """Record hyperdet(state) as diag["det"] and test it against det_scale at its degree."""
@@ -194,7 +194,7 @@ def _classify_4qubit(state: StateTensor, decide: _Decisions) -> ClassLabel:
         diag["boundary_warning"] = decide.warn
         return ClassLabel(QUBIT4, "GENERIC4", ranks, 0, diag)
     cut_ranks = {(p,): r for p, r in enumerate(ranks)}
-    cut_ranks.update({cut: cut_rank(state, cut, decide.tol) for cut in [(0, 1), (0, 2), (0, 3)]})
+    cut_ranks.update({cut: decide.rank(state, cut) for cut in [(0, 1), (0, 2), (0, 3)]})
     diag["cut_ranks"] = cut_ranks
     # the seven cuts are one side of each bipartition of the four parties
     diag["separability"] = separability_blocks(4, [cut for cut, r in cut_ranks.items() if r == 1])

@@ -27,7 +27,7 @@ from .documents import (
     scalar_json,
     state_document,
 )
-from .errors import OnionError, UnsupportedFormat
+from .errors import DocumentInvalid, OnionError, UnsupportedFormat
 from .scalars import DEFAULT_TOL, EXACT, FLOAT, scalar_is_zero
 
 EXIT_VALIDATION = 2
@@ -41,12 +41,7 @@ def _read_document(input_path):
                 return json.load(fh)
         return json.load(sys.stdin)
     except json.JSONDecodeError as exc:
-        raise click.exceptions.Exit(_fail("DocumentInvalid", f"bad JSON: {exc}"))
-
-
-def _fail(error: str, message: str) -> int:
-    click.echo(json.dumps({"error": error, "message": message}))
-    return EXIT_UNSUPPORTED if error == "UnsupportedFormat" else EXIT_VALIDATION
+        raise DocumentInvalid(f"bad JSON: {exc}") from exc
 
 
 def _emit(data: dict, output: str):
@@ -61,20 +56,26 @@ def _emit(data: dict, output: str):
 
 
 def handles_errors(fn):
+    """Print any OnionError as {"error", "message"} and exit 3 for UnsupportedFormat, 2 otherwise."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except UnsupportedFormat as exc:
-            raise SystemExit(_fail("UnsupportedFormat", str(exc)))
         except OnionError as exc:
-            raise SystemExit(_fail(type(exc).__name__, str(exc)))
+            click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+            raise SystemExit(EXIT_UNSUPPORTED if isinstance(exc, UnsupportedFormat) else EXIT_VALIDATION)
 
     return wrapper
 
 
-input_option = click.option("--input", "input_path", default="-", envvar="ONION_INPUT",
-                            help="Input document path, '-' for stdin.")
+def _drawn_seed(_ctx, _param, seed):
+    """A click callback: the given seed, or a fresh 32-bit draw to report when none was given."""
+    if seed is None:
+        import secrets
+        seed = secrets.randbits(32)
+    return seed
+
+
 output_option = click.option("--output", default="json", envvar="ONION_OUTPUT",
                              type=click.Choice(["json", "text"]), help="Report format.")
 # a click callback runs while options are parsed, outside the command's own handler
@@ -88,60 +89,67 @@ def main():
     """Hyperdeterminants and onion classification of small state tensors."""
 
 
-@main.command("classify")
-@input_option
-@output_option
-@tol_option
-@handles_errors
-def cmd_classify(input_path, output, tol):
+def document_command(name: str, *options, ensemble: bool = False):
+    """Register report(state or ensemble, **options) -> dict as command `name`, its docstring the help.
+
+    The command reads one JSON document from --input, parses it as a state
+    (an ensemble when `ensemble` is set), emits the report in --output form,
+    and takes `options`, or --tol when none are given.
+    """
+    def register(report):
+        @handles_errors
+        def command(input_path, output, **opts):
+            doc = _read_document(input_path)
+            parsed = parse_ensemble_document(doc) if ensemble else parse_state_document(doc)
+            _emit(report(parsed, **opts), output)
+
+        # click lists options in decorator order, so they are applied last to first
+        for option in reversed((
+            click.option("--input", "input_path", default="-", envvar="ONION_INPUT",
+                         help="Input document path, '-' for stdin."),
+            output_option,
+            *(options or (tol_option,)),
+        )):
+            command = option(command)
+        main.command(name, help=report.__doc__)(command)
+        return report
+
+    return register
+
+
+def _hyperdet_fields(result) -> dict:
+    return {"defined": result.defined, "value": scalar_json(result.value), "degree": result.degree}
+
+
+@document_command("classify")
+def classify_report(state, tol):
     """Classify a state document into its onion class."""
-    state = parse_state_document(_read_document(input_path))
     label = classify(state, tol)
-    _emit(
-        {
-            "family": label.family,
-            "name": label.name,
-            "onion_level": label.onion_level,
-            "local_ranks": list(label.local_ranks),
-            "diagnostics": jsonify(label.diagnostics),
-        },
-        output,
-    )
-
-
-@main.command("hyperdet")
-@input_option
-@output_option
-@tol_option
-@handles_errors
-def cmd_hyperdet(input_path, output, tol):
-    """Evaluate the hyperdeterminant of a state document."""
-    state = parse_state_document(_read_document(input_path))
-    result = hyperdet(state)
-    report = {
-        "defined": result.defined,
-        "value": scalar_json(result.value),
-        "degree": result.degree,
-        "format": list(result.format),
+    return {
+        "family": label.family,
+        "name": label.name,
+        "onion_level": label.onion_level,
+        "local_ranks": list(label.local_ranks),
+        "diagnostics": jsonify(label.diagnostics),
     }
+
+
+@document_command("hyperdet")
+def hyperdet_report(state, tol):
+    """Evaluate the hyperdeterminant of a state document."""
+    result = hyperdet(state)
+    report = {**_hyperdet_fields(result), "format": list(result.format)}
     # near zero: inside classify's zero band or the decade above it
     if state.field_tag == FLOAT and state.format == (2, 2, 2, 2) and scalar_is_zero(
         result.value, tensor_mod.det_scale(state, result.degree), 10 * tol
     ):
-        report["warning"] = (
-            "degree-24 float evaluation is ill-conditioned near zero; use exact mode"
-        )
-    _emit(report, output)
+        report["warning"] = "degree-24 float evaluation is ill-conditioned near zero; use exact mode"
+    return report
 
 
-@main.command("invariants")
-@input_option
-@output_option
-@tol_option
-@handles_errors
-def cmd_invariants(input_path, output, tol):
+@document_command("invariants")
+def invariants_report(state, tol):
     """Report ranks, separability, hyperdeterminant, and measures."""
-    state = parse_state_document(_read_document(input_path))
     report = {
         "format": list(state.format),
         "mode": state.field_tag,
@@ -149,12 +157,7 @@ def cmd_invariants(input_path, output, tol):
         "separability": [list(b) for b in tensor_mod.separability_pattern(state, tol)],
     }
     try:
-        result = hyperdet(state)
-        report["hyperdet"] = {
-            "defined": result.defined,
-            "value": scalar_json(result.value),
-            "degree": result.degree,
-        }
+        report["hyperdet"] = _hyperdet_fields(hyperdet(state))
     except UnsupportedFormat:
         report["hyperdet"] = None
     if state.format == (2, 2):
@@ -163,30 +166,54 @@ def cmd_invariants(input_path, output, tol):
     if state.format == (2, 2, 2):
         key = "three_tangle" if state.field_tag == FLOAT else "three_tangle_squared_x16"
         report[key] = scalar_json(three_tangle(state))
-    _emit(report, output)
+    return report
 
 
-@main.command("canonicalize")
-@input_option
-@output_option
-@tol_option
-@handles_errors
-def cmd_canonicalize(input_path, output, tol):
+@document_command("canonicalize")
+def canonicalize_report(state, tol):
     """Local operators carrying a 3-qubit state to its representative."""
-    state = parse_state_document(_read_document(input_path))
     ops, label = canonicalize_3qubit(state, tol)
-    operators = [
-        [[scalar_json(entry) for entry in row] for row in mat] for mat in ops.operators
-    ]
-    _emit(
-        {
-            "name": label.name,
-            "onion_level": label.onion_level,
-            "operators": operators,
-            "representative": state_document(representative(label)),
-        },
-        output,
-    )
+    return {
+        "name": label.name,
+        "onion_level": label.onion_level,
+        "operators": [[[scalar_json(entry) for entry in row] for row in mat] for mat in ops.operators],
+        "representative": state_document(representative(label)),
+    }
+
+
+@document_command(
+    "oracle",
+    click.option("--restarts", default=64, envvar="ONION_RESTARTS", type=int),
+    click.option("--seed", default=None, envvar="ONION_SEED", type=int, callback=_drawn_seed,
+                 help="Search seed; derived and reported when omitted."),
+    click.option("--tol", default=1e-8, envvar="ONION_ORACLE_TOL", type=float, callback=_checked_tol,
+                 help="Residual acceptance tolerance."),
+)
+def oracle_report(state, restarts, seed, tol):
+    """Search for a critical point witnessing a zero hyperdeterminant."""
+    result = oracle_mod.critical_point_search(state, restarts=restarts, tol=tol, seed=seed)
+    witness = result.witness
+    report = {
+        "found": result.found,
+        "residual": result.residual,
+        "restarts_used": result.restarts_used,
+        "seed": seed,
+        "witness": None if witness is None else [[[v.real, v.imag] for v in f] for f in witness.factors],
+    }
+    try:
+        formula = hyperdet(state)
+        report["formula_value"] = scalar_json(formula.value)
+        report["formula_defined"] = formula.defined
+    except UnsupportedFormat:
+        pass
+    return report
+
+
+@document_command("mixed", ensemble=True)
+def mixed_report(ens, tol):
+    """Ladder class of an explicit mixed-state decomposition (upper bound)."""
+    ladder = mixed_mod.ensemble_upper_class(ens, tol)
+    return {"ladder_class": ladder.name, "bound_kind": ladder.bound_kind, "members": len(ens.members)}
 
 
 @main.command("reachable")
@@ -202,45 +229,9 @@ def cmd_reachable(source, target, family, output):
     _emit({"from": source, "to": target, "family": family, "reachable": verdict}, output)
 
 
-@main.command("oracle")
-@input_option
-@output_option
-@click.option("--restarts", default=64, envvar="ONION_RESTARTS", type=int)
-@click.option("--seed", default=None, envvar="ONION_SEED", type=int,
-              help="Search seed; derived and reported when omitted.")
-@click.option("--tol", default=1e-8, envvar="ONION_ORACLE_TOL", type=float, callback=_checked_tol,
-              help="Residual acceptance tolerance.")
-@handles_errors
-def cmd_oracle(input_path, output, restarts, seed, tol):
-    """Search for a critical point witnessing a zero hyperdeterminant."""
-    state = parse_state_document(_read_document(input_path))
-    if seed is None:
-        import secrets
-        seed = secrets.randbits(32)
-    result = oracle_mod.critical_point_search(state, restarts=restarts, tol=tol, seed=seed)
-    report = {
-        "found": result.found,
-        "residual": result.residual,
-        "restarts_used": result.restarts_used,
-        "seed": seed,
-        "witness": None,
-    }
-    if result.witness is not None:
-        report["witness"] = [
-            [[v.real, v.imag] for v in factor] for factor in result.witness.factors
-        ]
-    try:
-        formula = hyperdet(state)
-        report["formula_value"] = scalar_json(formula.value)
-        report["formula_defined"] = formula.defined
-    except UnsupportedFormat:
-        pass
-    _emit(report, output)
-
-
 @main.command("random")
 @click.argument("format_spec")
-@click.option("--seed", default=None, envvar="ONION_SEED", type=int)
+@click.option("--seed", default=None, envvar="ONION_SEED", type=int, callback=_drawn_seed)
 @click.option("--mode", default=FLOAT, envvar="ONION_MODE", type=click.Choice([EXACT, FLOAT]))
 @output_option
 @handles_errors
@@ -249,10 +240,7 @@ def cmd_random(format_spec, seed, mode, output):
     try:
         fmt = [int(part) for part in format_spec.replace(",", "x").split("x")]
     except ValueError:
-        raise SystemExit(_fail("DocumentInvalid", f"cannot parse format {format_spec!r}"))
-    if seed is None:
-        import secrets
-        seed = secrets.randbits(32)
+        raise DocumentInvalid(f"cannot parse format {format_spec!r}") from None
     if mode == FLOAT:
         state = tensor_mod.random_state(fmt, seed)
     else:
@@ -260,25 +248,6 @@ def cmd_random(format_spec, seed, mode, output):
     doc = state_document(state)
     doc["seed"] = seed
     _emit(doc, output)
-
-
-@main.command("mixed")
-@input_option
-@output_option
-@tol_option
-@handles_errors
-def cmd_mixed(input_path, output, tol):
-    """Ladder class of an explicit mixed-state decomposition (upper bound)."""
-    ens = parse_ensemble_document(_read_document(input_path))
-    ladder = mixed_mod.ensemble_upper_class(ens, tol)
-    _emit(
-        {
-            "ladder_class": ladder.name,
-            "bound_kind": ladder.bound_kind,
-            "members": len(ens.members),
-        },
-        output,
-    )
 
 
 @main.command("selftest")

@@ -105,8 +105,6 @@ def scalar_json(value):
         return frac_str(value)
     if isinstance(value, complex):
         return value.real if value.imag == 0.0 else [value.real, value.imag]
-    if isinstance(value, (int, float)):
-        return value
     return value
 
 

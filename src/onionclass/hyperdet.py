@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import SizeMismatch, UnsupportedFormat, WrongFormat
+from .errors import UnsupportedFormat, WrongFormat
 from .scalars import EXACT, GaussianRational, as_exact, as_float, is_exact
 from .tensor import ProductVector, StateTensor, mode_product, new_state
 
@@ -30,11 +30,7 @@ def _require_format(state: StateTensor, fmt: tuple[int, ...]):
 
 def pairing(state: StateTensor, x: ProductVector):
     """Contraction F(A, x) = sum a_i x1[i1] ... xn[in]; multilinear in x."""
-    if len(x.factors) != state.n_parties:
-        raise SizeMismatch("product vector party count does not match the state")
-    for p, f in enumerate(x.factors):
-        if len(f) != state.format[p]:
-            raise SizeMismatch(f"factor {p} has length {len(f)}, expected {state.format[p]}")
+    x.check_shape(state.format)
     amps, fmt = state.amplitudes, state.format
     for p, f in enumerate(x.factors):
         amps = mode_product(amps, fmt, p, (f,))

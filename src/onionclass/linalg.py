@@ -221,5 +221,7 @@ def singular_values(rows) -> np.ndarray:
 
 
 def float_rank(sv: np.ndarray, tol: float) -> int:
-    """Numerical rank from descending singular values: those not zero against the largest."""
-    return sum(not scalar_is_zero(s, sv[0], tol) for s in sv)
+    """Rank from descending singular values: the largest if nonzero, and the rest not zero against it."""
+    if not sv[0]:
+        return 0
+    return 1 + sum(not scalar_is_zero(s, sv[0], tol) for s in sv[1:])

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import DocumentInvalid, SizeMismatch, UnsupportedFormat
+from .errors import DocumentInvalid, UnsupportedFormat
 from .scalars import EXACT, GaussianRational, as_float
 from .tensor import ProductVector, StateTensor, check_format, check_seed, check_tol, new_state
 
@@ -237,11 +237,7 @@ def critical_residual(state: StateTensor, x: ProductVector) -> float:
     """
     import numpy as np
     _check_parties(state)
-    if len(x.factors) != state.n_parties:
-        raise SizeMismatch("product vector party count does not match the state")
-    for p, f in enumerate(x.factors):
-        if len(f) != state.format[p]:
-            raise SizeMismatch(f"factor {p} has length {len(f)}, expected {state.format[p]}")
+    x.check_shape(state.format)
     pairing = _Pairing(_tensor_array(state))
     row = np.array([[as_float(v) for f in x.factors for v in f]], dtype=complex)
     return float(pairing.evaluate(pairing.normalize(row))[2][0])

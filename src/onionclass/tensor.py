@@ -75,6 +75,14 @@ class ProductVector:
 
     __hash__ = None
 
+    def check_shape(self, fmt: tuple[int, ...]) -> None:
+        """SizeMismatch unless there is one factor per party of `fmt`, each as long as its dimension."""
+        if len(self.factors) != len(fmt):
+            raise SizeMismatch("product vector party count does not match the state")
+        for p, f in enumerate(self.factors):
+            if len(f) != fmt[p]:
+                raise SizeMismatch(f"factor {p} has length {len(f)}, expected {fmt[p]}")
+
     def __eq__(self, other):
         if not isinstance(other, ProductVector):
             return NotImplemented

@@ -322,6 +322,15 @@ _BELL_01_23 = {(0, 0, 0, 0): 1, (0, 0, 1, 1): 1, (1, 1, 0, 0): 1, (1, 1, 1, 1): 
 _BELL_02_13 = {(0, 0, 0, 0): 1, (0, 1, 0, 1): 1, (1, 0, 1, 0): 1, (1, 1, 1, 1): 1}
 
 
+def test_degenerate4_cut_rank_in_band_warns():
+    # 3e-9 |0110> leaves the 01|23 flattening of Bell x Bell at rank 2, within a decade of tol
+    state = from_terms((2, 2, 2, 2), {**_BELL_01_23, (0, 1, 1, 0): 3e-9}, field_tag="float")
+    label = classify(state)
+    assert label.name == "DEGENERATE4"
+    assert label.diagnostics["cut_ranks"][(0, 1)] == 2
+    assert label.diagnostics["boundary_warning"] is True
+
+
 @pytest.mark.parametrize("terms, blocks", [
     ({(0, 0, 0, 1): 1, (0, 0, 1, 0): 1, (0, 1, 0, 0): 1, (1, 0, 0, 0): 1}, ((0, 1, 2, 3),)),
     ({(0, 0, 0, 0): 1, (1, 1, 1, 1): 1}, ((0, 1, 2, 3),)),

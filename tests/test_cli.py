@@ -273,6 +273,57 @@ def test_env_variable_fallback(monkeypatch):
     assert json.loads(result.output)["seed"] == 12
 
 
+_ENSEMBLE_DOC = json.dumps({"members": [{"weight": "1/2", "state": json.loads(_ghz_doc())}] * 2})
+# (options, document) of each command that reads a document
+_DOCUMENT_COMMANDS = {
+    "classify": ([], _ghz_doc()),
+    "hyperdet": ([], _ghz_doc()),
+    "invariants": ([], _ghz_doc()),
+    "canonicalize": ([], _ghz_doc()),
+    "oracle": (["--seed", "1", "--restarts", "2"], _ghz_doc()),
+    "mixed": ([], _ENSEMBLE_DOC),
+}
+
+
+@pytest.mark.parametrize("cmd", list(_DOCUMENT_COMMANDS))
+def test_document_plumbing(cmd, tmp_path):
+    # one read, emit and error path behind every document command
+    opts, doc = _DOCUMENT_COMMANDS[cmd]
+    path = tmp_path / "doc.json"
+    path.write_text(doc, encoding="utf-8")
+    runner = CliRunner()
+    from_stdin = runner.invoke(main, [cmd, *opts], input=doc)
+    assert from_stdin.exit_code == 0, from_stdin.output
+    for args, env in [([cmd, "--input", str(path), *opts], {}), ([cmd, *opts], {"ONION_INPUT": str(path)})]:
+        result = runner.invoke(main, args, env=env)
+        assert (result.exit_code, result.output) == (0, from_stdin.output), (args, env)
+    as_text = runner.invoke(main, [cmd, "--output", "text", *opts], input=doc)
+    assert as_text.exit_code == 0 and as_text.output != from_stdin.output
+    via_env = runner.invoke(main, [cmd, *opts], input=doc, env={"ONION_OUTPUT": "text"})
+    assert (via_env.exit_code, via_env.output) == (0, as_text.output)
+    bad = runner.invoke(main, [cmd, *opts], input="{bad")
+    assert bad.exit_code == 2
+    payload = json.loads(bad.output)
+    assert payload["error"] == "DocumentInvalid"
+    assert payload["message"].startswith("bad JSON: ")
+
+
+def test_random_bad_format_spec_exits_2():
+    result = _run(["random", "2xq"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert json.loads(result.output)["error"] == "DocumentInvalid"
+
+
+def test_invariants_at_unit_tol_keeps_rank_1():
+    # a nonzero flattening has rank at least 1 whatever the tolerance
+    amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    doc = json.dumps({"format": [2, 2], "mode": "float", "amplitudes": amps})
+    result = _run(["invariants", "--tol", "1"], stdin=doc)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["local_ranks"] == [1, 1]
+
+
 def _pushed_docs(states, seed=0):
     """States pushed by random Gaussian-integer operators, as exact documents."""
     rng = np.random.default_rng(seed)

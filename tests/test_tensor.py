@@ -159,6 +159,24 @@ def test_exact_and_float_ranks_agree(rng):
             assert compress_party(floated, 0)[1] == exact_ranks[0]
 
 
+def _compressed(state, tol):
+    reduced, rank, _ = compress_party(state, 0, tol)
+    return reduced.format, len(reduced.amplitudes), rank
+
+
+_HALF_BELL = from_terms((2, 2), {(0, 0): 1.0, (1, 1): 0.5}, field_tag="float")
+
+
+@pytest.mark.parametrize("query, state, expected", [
+    (local_ranks, _HALF_BELL, (1, 1)),
+    (separability_pattern, _HALF_BELL, ((0,), (1,))),
+    (_compressed, random_state((3, 2, 2), 5), ((2, 2), 4, 1)),
+], ids=["local_ranks", "separability_pattern", "compress_party"])
+def test_float_rank_at_unit_tol(query, state, expected):
+    # the largest singular value counts whenever it is nonzero, so no nonzero flattening has rank 0
+    assert query(state, 1.0) == expected
+
+
 def test_flatten_unflatten_roundtrip(rng):
     # unequal dimensions and a 5-party format expose stride and ordering mistakes;
     # unsorted and repeated parties name the sorted cut
