@@ -1,15 +1,15 @@
 """Command-line surface: JSON in, JSON or aligned text out.
 
-Exit codes: 0 on success, 2 for validation problems (with a
-machine-readable error object), 3 for unsupported formats.  Exact values
-serialize as "p/q" strings; this is the bit-exact interchange format.
-All defaults can also come from ONION_* environment variables.
+Exit codes: 0 on success, 2 for validation problems, unreadable input and
+usage errors, 3 for unsupported formats; 2 and 3 come with a
+machine-readable error object.  Exact values serialize as "p/q" strings;
+this is the bit-exact interchange format.  All defaults can also come
+from ONION_* environment variables.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import sys
 
@@ -42,6 +42,8 @@ def _read_document(input_path):
         return json.load(sys.stdin)
     except json.JSONDecodeError as exc:
         raise DocumentInvalid(f"bad JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentInvalid(f"unreadable input: {exc}") from exc
 
 
 def _emit(data: dict, output: str):
@@ -55,17 +57,20 @@ def _emit(data: dict, output: str):
         click.echo(f"{key:<{width}}  {value}")
 
 
-def handles_errors(fn):
-    """Print any OnionError as {"error", "message"} and exit 3 for UnsupportedFormat, 2 otherwise."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except OnionError as exc:
-            click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-            raise SystemExit(EXIT_UNSUPPORTED if isinstance(exc, UnsupportedFormat) else EXIT_VALIDATION)
+class _ErrorBoundary(click.Group):
+    """The one error handler: a command's OnionError or usage error prints {"error", "message"}.
 
-    return wrapper
+    Exit 3 for UnsupportedFormat, 2 otherwise; option callbacks run inside `invoke` too.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OnionError, click.UsageError) as exc:
+            usage = isinstance(exc, click.UsageError)
+            click.echo(json.dumps({"error": "UsageError" if usage else type(exc).__name__,
+                                   "message": exc.format_message() if usage else str(exc)}))
+            raise SystemExit(EXIT_UNSUPPORTED if isinstance(exc, UnsupportedFormat) else EXIT_VALIDATION)
 
 
 def _drawn_seed(_ctx, _param, seed):
@@ -76,15 +81,17 @@ def _drawn_seed(_ctx, _param, seed):
     return seed
 
 
+def _checked_tol(_ctx, _param, value):
+    return tensor_mod.check_tol(value)
+
+
 output_option = click.option("--output", default="json", envvar="ONION_OUTPUT",
                              type=click.Choice(["json", "text"]), help="Report format.")
-# a click callback runs while options are parsed, outside the command's own handler
-_checked_tol = handles_errors(lambda _ctx, _param, value: tensor_mod.check_tol(value))
 tol_option = click.option("--tol", default=DEFAULT_TOL, envvar="ONION_TOL", type=float,
                           callback=_checked_tol, help="Relative float zero-test tolerance.")
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def main():
     """Hyperdeterminants and onion classification of small state tensors."""
 
@@ -97,7 +104,6 @@ def document_command(name: str, *options, ensemble: bool = False):
     and takes `options`, or --tol when none are given.
     """
     def register(report):
-        @handles_errors
         def command(input_path, output, **opts):
             doc = _read_document(input_path)
             parsed = parse_ensemble_document(doc) if ensemble else parse_state_document(doc)
@@ -222,7 +228,6 @@ def mixed_report(ens, tol):
 @click.option("--family", default="qubit3", envvar="ONION_FAMILY",
               type=click.Choice(["qubit3", "format322", "qubit4", "bipartite"]))
 @output_option
-@handles_errors
 def cmd_reachable(source, target, family, output):
     """Whether noninvertible local operations map SOURCE into TARGET."""
     verdict = reachable(source, target, family=family)
@@ -234,7 +239,6 @@ def cmd_reachable(source, target, family, output):
 @click.option("--seed", default=None, envvar="ONION_SEED", type=int, callback=_drawn_seed)
 @click.option("--mode", default=FLOAT, envvar="ONION_MODE", type=click.Choice([EXACT, FLOAT]))
 @output_option
-@handles_errors
 def cmd_random(format_spec, seed, mode, output):
     """Emit a random state document for a format like 2x2x2."""
     try:

@@ -50,24 +50,25 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0  # wall time of the check, set by run_one
+    seconds: float  # wall time of the check
 
 
 def _counts(level: str, quick: int, full: int) -> int:
     return quick if level == "quick" else full
 
 
-def _rand_exact_matrix(rng, dim: int, bound: int = 3):
+def _rand_exact_matrix(rng, rows: int, cols: int, bound: int):
+    """Gaussian integers with parts in [-bound, bound], drawn row by row, real part first."""
     return [
         [GaussianRational(int(rng.integers(-bound, bound + 1)), int(rng.integers(-bound, bound + 1)))
-         for _ in range(dim)]
-        for _ in range(dim)
+         for _ in range(cols)]
+        for _ in range(rows)
     ]
 
 
 def rand_invertible(rng, dim: int):
     while True:
-        m = _rand_exact_matrix(rng, dim)
+        m = _rand_exact_matrix(rng, dim, dim, 3)
         if exact_det(m):
             return m
 
@@ -76,10 +77,8 @@ def rand_singular(rng, dim: int):
     """Random rank-deficient integer matrix (outer products of small vectors)."""
     while True:
         rank = int(rng.integers(1, dim))
-        cols = [[GaussianRational(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))) for _ in range(rank)]
-                for _ in range(dim)]
-        rows = [[GaussianRational(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))) for _ in range(dim)]
-                for _ in range(rank)]
+        cols = _rand_exact_matrix(rng, dim, rank, 2)
+        rows = _rand_exact_matrix(rng, rank, dim, 2)
         m = [
             [sum((cols[i][k] * rows[k][j] for k in range(1, rank)), cols[i][0] * rows[0][j])
              for j in range(dim)]
@@ -110,21 +109,21 @@ def _scaled(state, lam):
 # --- criteria ---------------------------------------------------------------
 
 
-def check_lift_identity(level: str) -> CheckResult:
+def check_lift_identity(level: str) -> tuple[bool, str]:
     """Cayley's explicit 2x2x2 polynomial versus K3 times the resultant lift."""
     trials = _counts(level, 100, 1000)
     lift = lambda s: schlafli_lift(binary_form_coeffs(s), K3).value
     ok = oracle_mod.identity_check(det3, lift, (2, 2, 2), trials=trials, seed=101)
-    return CheckResult("lift-identity-2x2x2", ok, f"{trials} exact trials, zero tolerance")
+    return ok, f"{trials} exact trials, zero tolerance"
 
 
-def check_generic4_family(level: str) -> CheckResult:
+def check_generic4_family(level: str) -> tuple[bool, str]:
     import numpy as np
     trials = _counts(level, 20, 100)
     rng = np.random.default_rng(202)
     pinned = generic4_product(2, 1, 1, 1)
     if pinned != GaussianRational(72900):
-        return CheckResult("generic4-family", False, f"pinned product is {pinned}, expected 72900")
+        return False, f"pinned product is {pinned}, expected 72900"
     ratio = det4(generic4_state(2, 1, 1, 1)) / pinned
     failures = 0
     done = 0
@@ -141,18 +140,12 @@ def check_generic4_family(level: str) -> CheckResult:
         # alpha = -(s1 b + s2 g + s3 d) with b, g, d = 1, 2, 3
         hyperplanes.append((-(s1 + 2 * s2 + 3 * s3), 1, 2, 3))
     for quad in hyperplanes:
-        if not any(quad):
-            continue
         if det4(generic4_state(*quad)) != GaussianRational(0):
             failures += 1
-    return CheckResult(
-        "generic4-family",
-        failures == 0,
-        f"{done} random quadruples + {len(hyperplanes)} zero hyperplanes, ratio {ratio}",
-    )
+    return failures == 0, f"{done} random quadruples + {len(hyperplanes)} zero hyperplanes, ratio {ratio}"
 
 
-def check_catalog(level: str) -> CheckResult:
+def check_catalog(level: str) -> tuple[bool, str]:
     problems = []
     for family in (QUBIT3, FORMAT322):
         for name, state in class_catalog(family).items():
@@ -168,10 +161,10 @@ def check_catalog(level: str) -> CheckResult:
             problems.append(f"qubit4:{name} -> {label.name}")
     if classify(q4["GENERIC4_EXEMPLAR"]).name != "GENERIC4":
         problems.append("qubit4 exemplar not generic")
-    return CheckResult("class-catalog", not problems, "; ".join(problems) or "all representatives match")
+    return not problems, "; ".join(problems) or "all representatives match"
 
 
-def check_relative_invariance(level: str) -> CheckResult:
+def check_relative_invariance(level: str) -> tuple[bool, str]:
     import numpy as np
     trials = _counts(level, 15, 100)
     rng = np.random.default_rng(303)
@@ -190,14 +183,11 @@ def check_relative_invariance(level: str) -> CheckResult:
                                    Fraction(int(rng.integers(-3, 4))))
             if hyperdet(_scaled(state, lam)).value != lam**degree * hyperdet(state).value:
                 failures.append(f"homogeneity {fmt} trial {trial}")
-    return CheckResult(
-        "relative-invariance",
-        not failures,
-        "; ".join(failures[:3]) or f"{trials} operator pairs and scalings per format, degrees 2/4/6/24",
-    )
+    detail = f"{trials} operator pairs and scalings per format, degrees 2/4/6/24"
+    return not failures, "; ".join(failures[:3]) or detail
 
 
-def check_slice_swap(level: str) -> CheckResult:
+def check_slice_swap(level: str) -> tuple[bool, str]:
     trials = _counts(level, 20, 100)
     flip = [[0, 1], [1, 0]]
     ident2 = [[1, 0], [0, 1]]
@@ -217,69 +207,40 @@ def check_slice_swap(level: str) -> CheckResult:
             swapped = tensor_mod.apply_local(s322, tensor_mod.local_operators(mats))
             if det322(swapped) != -det322(s322):
                 failures += 1
-    return CheckResult(
-        "slice-swap-signs",
-        failures == 0,
-        f"{trials} trials per case: qubit swaps fix det3, party-1/2 swaps negate det322",
-    )
+    return failures == 0, f"{trials} trials per case: qubit swaps fix det3, party-1/2 swaps negate det322"
 
 
-def check_oracle_agreement(level: str) -> CheckResult:
+def check_oracle_agreement(level: str) -> tuple[bool, str]:
+    """The oracle finds a critical point exactly when the formula's Det is zero."""
     n_qubit3 = _counts(level, 20, 200)
     n_322 = _counts(level, 8, 50)
-    restarts = 64
-    tol = 1e-8
     margin = 1e-6
+    rows = [
+        ((2, 2, 2), det3, n_qubit3, 90_000, class_catalog(QUBIT3)),
+        ((3, 2, 2), det322, n_322, 91_000, {"DEG322": class_catalog(FORMAT322)["DEG322"]}),
+    ]
     mismatches = []
-
-    def verdicts(state, formula_value):
-        result = oracle_mod.critical_point_search(state, restarts=restarts, tol=tol, seed=critical_seed)
-        return result.found, abs(formula_value), result.residual
-
-    critical_seed = 424_242
-    drawn = 0
-    seed = 0
-    while drawn < n_qubit3:
-        seed += 1
-        state = tensor_mod.random_state((2, 2, 2), 90_000 + seed)
-        value = det3(state)
-        if abs(value) <= margin:
-            continue
-        drawn += 1
-        found, _, residual = verdicts(state, value)
-        if found:
-            mismatches.append(f"2x2x2 seed {seed} residual {residual:.2e}")
-    for name, state in class_catalog(QUBIT3).items():
-        value = det3(state)
-        found, mag, residual = verdicts(tensor_mod.to_float(state), value)
-        degenerate = not value
-        if found != degenerate:
-            mismatches.append(f"rep {name} found={found} residual {residual:.2e}")
-    drawn = 0
-    seed = 0
-    while drawn < n_322:
-        seed += 1
-        state = tensor_mod.random_state((3, 2, 2), 91_000 + seed)
-        value = det322(state)
-        if abs(value) <= margin:
-            continue
-        drawn += 1
-        found, _, residual = verdicts(state, value)
-        if found:
-            mismatches.append(f"3x2x2 seed {seed} residual {residual:.2e}")
-    deg = class_catalog(FORMAT322)["DEG322"]
-    found, _, residual = verdicts(tensor_mod.to_float(deg), det322(deg))
-    if not found:
-        mismatches.append(f"DEG322 not found, residual {residual:.2e}")
-    return CheckResult(
-        "oracle-agreement",
-        not mismatches,
+    for fmt, det, count, base, reps in rows:
+        # (what, float state, whether its Det is zero): random states clear of zero, then representatives
+        cases = []
+        seed = 0
+        while len(cases) < count:
+            seed += 1
+            state = tensor_mod.random_state(fmt, base + seed)
+            if abs(det(state)) > margin:
+                cases.append((f"{'x'.join(map(str, fmt))} seed {seed}", state, False))
+        cases += [(f"rep {name}", tensor_mod.to_float(rep), not det(rep)) for name, rep in reps.items()]
+        for what, state, degenerate in cases:
+            result = oracle_mod.critical_point_search(state, restarts=64, tol=1e-8, seed=424_242)
+            if result.found != degenerate:
+                mismatches.append(f"{what} found={result.found} residual {result.residual:.2e}")
+    return not mismatches, (
         "; ".join(mismatches[:3])
-        or f"{n_qubit3} random 2x2x2 (margin {margin}), six representatives, {n_322} random 3x2x2",
+        or f"{n_qubit3} random 2x2x2 (margin {margin}), six representatives, {n_322} random 3x2x2"
     )
 
 
-def check_degradation(level: str) -> CheckResult:
+def check_degradation(level: str) -> tuple[bool, str]:
     import numpy as np
     per_family = _counts(level, 60, 500)
     rng = np.random.default_rng(505)
@@ -287,11 +248,11 @@ def check_degradation(level: str) -> CheckResult:
     forbidden |= {(a, b) for a in ("B1", "B2", "B3") for b in ("B1", "B2", "B3") if a != b}
     failures = []
     for family in (QUBIT3, FORMAT322):
-        fmt = (2, 2, 2) if family == QUBIT3 else (3, 2, 2)
-        names = list(class_catalog(family))
+        reps = list(class_catalog(family).values())
+        fmt = reps[0].format
         done = 0
         while done < per_family:
-            source_rep = class_catalog(family)[names[int(rng.integers(0, len(names)))]]
+            source_rep = reps[int(rng.integers(0, len(reps)))]
             state = tensor_mod.apply_local(source_rep, _rand_invertible_tuple(rng, fmt))
             ops = _rand_degrading_tuple(rng, fmt)
             try:
@@ -307,43 +268,35 @@ def check_degradation(level: str) -> CheckResult:
                 failures.append(f"{family}: edge {before.name}->{after.name}")
             elif (before.name, after.name) in forbidden:
                 failures.append(f"{family}: forbidden {before.name}->{after.name}")
-    return CheckResult(
-        "degradation-monotonicity",
-        not failures,
-        "; ".join(failures[:3]) or f"{per_family} singular-operator pairs per family",
-    )
+    return not failures, "; ".join(failures[:3]) or f"{per_family} singular-operator pairs per family"
 
 
-def check_canonicalizer(level: str) -> CheckResult:
+def check_canonicalizer(level: str) -> tuple[bool, str]:
     import numpy as np
     n_random = _counts(level, 30, 200)
     rng = np.random.default_rng(606)
+    # (state, the class it must be named, or None for random states)
+    cases = [(oracle_mod.random_rational_state((2, 2, 2), 93_000 + trial), None) for trial in range(n_random)]
+    cases += [
+        (tensor_mod.apply_local(rep, _rand_invertible_tuple(rng, (2, 2, 2))), name)
+        for name, rep in class_catalog(QUBIT3).items()
+        for _ in range(_counts(level, 5, 12))
+    ]
     failures = 0
-    for trial in range(n_random):
-        state = oracle_mod.random_rational_state((2, 2, 2), 93_000 + trial)
+    for state, expected in cases:
         ops, label = canonicalize_3qubit(state)
         out = tensor_mod.apply_local(state, ops)
-        if not tensor_mod.states_proportional(out, representative(label)):
+        if expected not in (None, label.name) or not tensor_mod.states_proportional(
+            out, representative(label)
+        ):
             failures += 1
-    pushed = 0
-    for name, rep in class_catalog(QUBIT3).items():
-        for _ in range(5 if level == "quick" else 12):
-            state = tensor_mod.apply_local(rep, _rand_invertible_tuple(rng, (2, 2, 2)))
-            ops, label = canonicalize_3qubit(state)
-            out = tensor_mod.apply_local(state, ops)
-            pushed += 1
-            if label.name != name or not tensor_mod.states_proportional(
-                out, representative(label)
-            ):
-                failures += 1
-    return CheckResult(
-        "canonicalizer-soundness",
-        failures == 0,
-        f"{n_random} random exact states + {pushed} pushed representatives, exact proportionality",
+    pushed = len(cases) - n_random
+    return failures == 0, (
+        f"{n_random} random exact states + {pushed} pushed representatives, exact proportionality"
     )
 
 
-def check_mixed_ladder(level: str) -> CheckResult:
+def check_mixed_ladder(level: str) -> tuple[bool, str]:
     cat = class_catalog(QUBIT3)
     half = Fraction(1, 2)
     fixtures = [
@@ -389,14 +342,10 @@ def check_mixed_ladder(level: str) -> CheckResult:
         and mixed_mod.ensemble_upper_class(ghz_pair).name == "GHZ-class"
     ):
         problems.append("equal-rho fixture: ladder labels did not diverge")
-    return CheckResult(
-        "mixed-ladder",
-        not problems,
-        "; ".join(problems) or "three ladder fixtures plus the equal-rho divergence fixture",
-    )
+    return not problems, "; ".join(problems) or "three ladder fixtures plus the equal-rho divergence fixture"
 
 
-def check_genericity(level: str) -> CheckResult:
+def check_genericity(level: str) -> tuple[bool, str]:
     samples = _counts(level, 200, 1000)
     names = Counter(
         classify(tensor_mod.random_state((2, 2, 2), 95_000 + i)).name
@@ -404,37 +353,32 @@ def check_genericity(level: str) -> CheckResult:
     )
     ghz = names.get("GHZ", 0)
     needed = samples - max(1, samples // 1000)
-    return CheckResult(
-        "genericity",
-        ghz >= needed,
-        f"{ghz}/{samples} random float states are GHZ class (need >= {needed})",
-    )
+    return ghz >= needed, f"{ghz}/{samples} random float states are GHZ class (need >= {needed})"
 
 
-CRITERIA = [
-    ("lift-identity-2x2x2", check_lift_identity),
-    ("generic4-family", check_generic4_family),
-    ("class-catalog", check_catalog),
-    ("relative-invariance", check_relative_invariance),
-    ("slice-swap-signs", check_slice_swap),
-    ("oracle-agreement", check_oracle_agreement),
-    ("degradation-monotonicity", check_degradation),
-    ("canonicalizer-soundness", check_canonicalizer),
-    ("mixed-ladder", check_mixed_ladder),
-    ("genericity", check_genericity),
-]
+# name -> check(level) returning (passed, detail), in report order
+CRITERIA = {
+    "lift-identity-2x2x2": check_lift_identity,
+    "generic4-family": check_generic4_family,
+    "class-catalog": check_catalog,
+    "relative-invariance": check_relative_invariance,
+    "slice-swap-signs": check_slice_swap,
+    "oracle-agreement": check_oracle_agreement,
+    "degradation-monotonicity": check_degradation,
+    "canonicalizer-soundness": check_canonicalizer,
+    "mixed-ladder": check_mixed_ladder,
+    "genericity": check_genericity,
+}
 
-CRITERIA_NAMES = [name for name, _ in CRITERIA]
+CRITERIA_NAMES = list(CRITERIA)
 
 
 def run_one(name: str, level: str = "full") -> CheckResult:
-    for key, fn in CRITERIA:
-        if key == name:
-            start = time.perf_counter()
-            result = fn(level)
-            result.seconds = time.perf_counter() - start
-            return result
-    raise KeyError(f"unknown criterion {name!r}")
+    """Run one criterion and time it; an unknown name raises KeyError."""
+    check = CRITERIA[name]
+    start = time.perf_counter()
+    passed, detail = check(level)
+    return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
 def run(level: str = "full") -> list[CheckResult]:

@@ -308,6 +308,40 @@ def test_document_plumbing(cmd, tmp_path):
     assert payload["message"].startswith("bad JSON: ")
 
 
+@pytest.mark.parametrize("cmd", list(_DOCUMENT_COMMANDS))
+def test_unreadable_input_exits_2(cmd, tmp_path):
+    # a missing path, a directory and a file that is not UTF-8 take the one error route
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    opts, _ = _DOCUMENT_COMMANDS[cmd]
+    for path in [tmp_path / "missing.json", tmp_path, not_utf8]:
+        result = _run([cmd, "--input", str(path), *opts])
+        assert result.exit_code == 2, (path, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.output)["error"] == "DocumentInvalid"
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--tol", "abc"], ["classify", "--output", "xml"], ["classify", "--bogus"], ["nosuch"],
+])
+def test_usage_errors_print_json(args):
+    result = _run(args, stdin=_ghz_doc())
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    payload = json.loads(result.output)
+    assert payload["error"] == "UsageError"
+    assert payload["message"]
+
+
+def test_usage_error_in_a_process():
+    proc = subprocess.run([sys.executable, "-m", "onionclass.cli", "classify", "--tol", "abc"],
+                          input=_ghz_doc(), capture_output=True, text=True, timeout=30, env=_cli_env())
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "UsageError", "message": "Invalid value for '--tol': 'abc' is not a valid float.",
+    }
+
+
 def test_random_bad_format_spec_exits_2():
     result = _run(["random", "2xq"])
     assert result.exit_code == 2
