@@ -33,6 +33,7 @@ from .scalars import (
 )
 from .tensor import (
     StateTensor,
+    bipartitions,
     check_tol,
     compress_party,
     cut_rank,
@@ -122,10 +123,10 @@ class _Decisions:
     def local_ranks(self, state: StateTensor) -> tuple[int, ...]:
         return tuple(self.rank(state, (p,)) for p in range(state.n_parties))
 
-    def hyperdet_is_zero(self, state: StateTensor, diag: dict) -> bool:
-        """Record hyperdet(state) as diag["det"] and test it against det_scale at its degree."""
+    def hyperdet_is_zero(self, state: StateTensor, diag: dict, key: str = "det") -> bool:
+        """Record hyperdet(state) as diag[key] and test it against det_scale at its degree."""
         result = hyperdet(state)
-        diag["det"] = result.value
+        diag[key] = result.value
         return self.is_zero(result.value, det_scale(state, result.degree))
 
 
@@ -147,59 +148,46 @@ def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
         r = ranks[0]
         diag = {"boundary_warning": decide.warn}
         return ClassLabel(BIPARTITE, f"S{r}", ranks, fmt[0] - r, diag)
-    if fmt == (2, 2, 2):
-        return _classify_3qubit(state, decide)
-    if fmt == (3, 2, 2):
-        return _classify_322(state, decide)
+    if fmt in ((2, 2, 2), (3, 2, 2)):
+        return _classify_three_party(state, decide)
     if fmt == (2, 2, 2, 2):
         return _classify_4qubit(state, decide)
     raise UnsupportedFormat(f"no classifier for format {fmt}")
 
 
-def _classify_3qubit(state: StateTensor, decide: _Decisions) -> ClassLabel:
+def _classify_three_party(state: StateTensor, decide: _Decisions) -> ClassLabel:
+    """2x2x2 or 3x2x2: det322 at party-0 rank 3, S or B_k at a rank-1 party, else det3 of the core.
+
+    A 3x2x2 core is the state compressed on party 0, and its det3 is embedded_det.
+    """
+    family = QUBIT3 if state.format == (2, 2, 2) else FORMAT322
     ranks = decide.local_ranks(state)
     ones = [p for p, r in enumerate(ranks) if r == 1]
     diag: dict = {"local_ranks": ranks}
-    if len(ones) == 3:
-        name = "S"
-    elif len(ones) >= 1:
-        name = f"B{ones[0] + 1}"
-    else:
-        name = "W" if decide.hyperdet_is_zero(state, diag) else "GHZ"
-    diag["boundary_warning"] = decide.warn
-    return ClassLabel(QUBIT3, name, ranks, ONION_LEVELS[QUBIT3][name], diag)
-
-
-def _classify_322(state: StateTensor, decide: _Decisions) -> ClassLabel:
-    ranks = decide.local_ranks(state)
-    diag: dict = {"local_ranks": ranks}
+    embedded = family == FORMAT322 and ranks[0] == 2
+    if embedded:
+        diag["embedded_det"] = None
     if ranks[0] == 3:
         name = "DEG322" if decide.hyperdet_is_zero(state, diag) else "GEN322"
-    elif ranks[0] == 1:
-        # the state is u (x) M, and M's rank is the local rank of parties 1 and 2
-        name = "B1" if ranks[1] == 2 else "S"
+    elif ones:
+        name = "S" if len(ones) == 3 else f"B{ones[0] + 1}"
     else:
-        inner = _classify_3qubit(compress_party(state, 0, decide.tol)[0], decide)
-        diag["embedded_det"] = inner.diagnostics.get("det")
-        name = inner.name
+        core, key = (compress_party(state, 0, decide.tol)[0], "embedded_det") if embedded else (state, "det")
+        name = "W" if decide.hyperdet_is_zero(core, diag, key) else "GHZ"
     diag["boundary_warning"] = decide.warn
-    return ClassLabel(FORMAT322, name, ranks, ONION_LEVELS[FORMAT322][name], diag)
+    return ClassLabel(family, name, ranks, ONION_LEVELS[family][name], diag)
 
 
 def _classify_4qubit(state: StateTensor, decide: _Decisions) -> ClassLabel:
     diag: dict = {}
-    zero = decide.hyperdet_is_zero(state, diag)
+    name = "DEGENERATE4" if decide.hyperdet_is_zero(state, diag) else "GENERIC4"
     ranks = diag["local_ranks"] = decide.local_ranks(state)
-    if not zero:
-        diag["boundary_warning"] = decide.warn
-        return ClassLabel(QUBIT4, "GENERIC4", ranks, 0, diag)
-    cut_ranks = {(p,): r for p, r in enumerate(ranks)}
-    cut_ranks.update({cut: decide.rank(state, cut) for cut in [(0, 1), (0, 2), (0, 3)]})
-    diag["cut_ranks"] = cut_ranks
-    # the seven cuts are one side of each bipartition of the four parties
-    diag["separability"] = separability_blocks(4, [cut for cut, r in cut_ranks.items() if r == 1])
+    if name == "DEGENERATE4":
+        cut_ranks = {c: ranks[c[0]] if len(c) == 1 else decide.rank(state, c) for c in bipartitions(4)}
+        diag["cut_ranks"] = cut_ranks
+        diag["separability"] = separability_blocks(4, [cut for cut, r in cut_ranks.items() if r == 1])
     diag["boundary_warning"] = decide.warn
-    return ClassLabel(QUBIT4, "DEGENERATE4", ranks, 1, diag)
+    return ClassLabel(QUBIT4, name, ranks, ONION_LEVELS[QUBIT4][name], diag)
 
 
 _QUBIT3_TERMS = {

@@ -58,14 +58,24 @@ def _emit(data: dict, output: str):
 
 
 class _ErrorBoundary(click.Group):
-    """The one error handler: a command's OnionError or usage error prints {"error", "message"}.
+    """The one error handler: an OnionError or usage error prints {"error", "message"}.
 
-    Exit 3 for UnsupportedFormat, 2 otherwise; option callbacks run inside `invoke` too.
+    It covers the group's own arguments and each command, option callbacks included.
+    Exit 3 for UnsupportedFormat, 2 otherwise.
     """
 
+    def make_context(self, *args, **kwargs):
+        return self._guarded(super().make_context, *args, **kwargs)
+
     def invoke(self, ctx):
+        return self._guarded(super().invoke, ctx)
+
+    @staticmethod
+    def _guarded(call, *args, **kwargs):
         try:
-            return super().invoke(ctx)
+            return call(*args, **kwargs)
+        except getattr(click.exceptions, "NoArgsIsHelpError", ()):  # a bare call's help text
+            raise
         except (OnionError, click.UsageError) as exc:
             usage = isinstance(exc, click.UsageError)
             click.echo(json.dumps({"error": "UsageError" if usage else type(exc).__name__,

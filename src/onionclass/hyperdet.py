@@ -273,14 +273,10 @@ def hyperdet(state: StateTensor) -> HyperdetResult:
     implemented formula raise UnsupportedFormat.
     """
     fmt = state.format
-    if fmt == (2, 2):
-        return HyperdetResult(True, det2(state), 2, fmt)
-    if fmt == (2, 2, 2):
-        return HyperdetResult(True, det3(state), 4, fmt)
-    if fmt == (3, 2, 2):
-        return HyperdetResult(True, det322(state), 6, fmt)
-    if fmt == (2, 2, 2, 2):
-        return HyperdetResult(True, det4(state), 24, fmt)
+    # built per call, so it holds det2 to det4 as bound now (wrapped ones, when traced)
+    formula = {(2, 2): det2, (2, 2, 2): det3, (3, 2, 2): det322, (2, 2, 2, 2): det4}.get(fmt)
+    if formula is not None:
+        return HyperdetResult(True, formula(state), DEGREES[fmt], fmt)
     ks = sorted((d - 1 for d in fmt), reverse=True)
     if len(ks) >= 2 and ks[0] > sum(ks[1:]):
         unit = GaussianRational(1) if state.field_tag == EXACT else 1.0 + 0j

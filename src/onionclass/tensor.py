@@ -361,11 +361,17 @@ def separability_pattern(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[
 
     Blocks are the equivalence classes of "never separated by a rank-1
     cut"; for pure states a cut has rank 1 exactly when the state factors
-    across it.  Each bipartition is ranked once, by its side holding party 0.
+    across it.  Each bipartition is ranked once, by its side in `bipartitions`.
     """
     n = state.n_parties
-    cuts = [(0,) + combo for r in range(n - 1) for combo in itertools.combinations(range(1, n), r)]
-    return separability_blocks(n, [cut for cut in cuts if cut_rank(state, cut, tol) == 1])
+    return separability_blocks(n, [cut for cut in bipartitions(n) if cut_rank(state, cut, tol) == 1])
+
+
+def bipartitions(n_parties: int) -> list[tuple[int, ...]]:
+    """Each bipartition once, by its smaller side (at a tie, the side holding party 0), singletons first."""
+    return [cut for size in range(1, n_parties // 2 + 1)
+            for cut in itertools.combinations(range(n_parties), size)
+            if 2 * size < n_parties or cut[0] == 0]
 
 
 def separability_blocks(n_parties: int, rank_one_cuts) -> tuple[tuple[int, ...], ...]:
@@ -389,8 +395,8 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
         transform, rank = linalg.exact_elimination_transform(rows)
     else:
         import numpy as np
-        u, sv, _ = np.linalg.svd(linalg.float_matrix(rows))
-        rank = linalg.float_rank(sv, tol)
+        rank = linalg.float_rank(linalg.singular_values(rows), tol)  # the rank cut_rank gives
+        u = np.linalg.svd(linalg.float_matrix(rows))[0]
         transform = [[complex(x) for x in row] for row in u.conj().T]
     amps = mode_product(state.amplitudes, state.format, party, transform[:rank])
     # a length-1 axis does not change row-major order, so rank 1 drops it as is

@@ -25,11 +25,13 @@ from onionclass import (
     states_proportional,
     to_float,
 )
-from onionclass.classify import FORMAT322, QUBIT3, QUBIT4, RANKS_BY_NAME, ClassLabel
+from onionclass.classify import FORMAT322, QUBIT3, QUBIT4, RANKS_BY_NAME, ClassLabel, _Decisions
 from onionclass.errors import DocumentInvalid
+from onionclass.hyperdet import det3
 from onionclass.oracle import random_rational_state
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible, rand_singular
+from onionclass.tensor import compress_party
 
 
 def test_classify_catalog_qubit3():
@@ -372,3 +374,24 @@ def test_float_format322_pushed_keeps_label(rng):
 def test_library_tolerance_rule(w_state, entry, tol):
     with pytest.raises(DocumentInvalid):
         entry(to_float(w_state), tol)
+
+
+def test_core_is_compressed_at_the_decided_party0_rank(spectrum_state, second_svd_routine):
+    # party 0 at (1, 0.5, 3e-9) around a random core: the 3x4 flattening's third
+    # value reads 3e-10 < tol, so the state is at party-0 rank 2, and so is its core
+    state = spectrum_state((3, 2, 2), 0, (1, 0.5, 3e-9))
+    second_svd_routine(lambda rows: len(rows) == 3 and len(rows[0]) == 4)
+    label = classify(state)
+    assert (label.name, label.local_ranks) == ("GHZ", (2, 2, 2))
+    core, rank, _ = compress_party(state, 0)
+    assert (rank, core.format) == (2, (2, 2, 2))
+    assert label.diagnostics["embedded_det"] == det3(core)
+
+
+@pytest.mark.parametrize("ranks, name", [((1, 1, 2), "B1"), ((2, 1, 1), "B2"), ((1, 1, 1), "S")])
+def test_format322_rank_one_party_names_the_class(monkeypatch, ranks, name):
+    # ranks no exact state has, as float ranks inside the zero band can read
+    monkeypatch.setattr(_Decisions, "local_ranks", lambda self, state: ranks)
+    label = classify(to_float(class_catalog(FORMAT322)["GHZ"]))
+    assert label.name == name
+    assert ("embedded_det" in label.diagnostics) is (ranks[0] == 2)

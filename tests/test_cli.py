@@ -323,6 +323,7 @@ def test_unreadable_input_exits_2(cmd, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["classify", "--tol", "abc"], ["classify", "--output", "xml"], ["classify", "--bogus"], ["nosuch"],
+    ["--bogus"],
 ])
 def test_usage_errors_print_json(args):
     result = _run(args, stdin=_ghz_doc())
@@ -331,6 +332,14 @@ def test_usage_errors_print_json(args):
     payload = json.loads(result.output)
     assert payload["error"] == "UsageError"
     assert payload["message"]
+
+
+def test_bare_call_prints_help():
+    result = _run([])
+    assert result.exit_code == 2
+    assert "Commands:" in result.output
+    assert '"error"' not in result.output
+    assert _run(["--help"]).exit_code == 0
 
 
 def test_usage_error_in_a_process():

@@ -35,7 +35,7 @@ from onionclass.selftest import rand_invertible, rand_singular
 from onionclass.oracle import random_rational_state
 from onionclass.classify import RANKS_BY_NAME, class_catalog, classify
 from onionclass.linalg import float_rank
-from onionclass.tensor import compress_party
+from onionclass.tensor import bipartitions, compress_party
 
 
 def test_new_state_validation():
@@ -363,3 +363,28 @@ def test_compress_party_pushed_322(rng):
                 scale = state.scale()
                 assert np.allclose(reduced.amplitudes, kept, rtol=0, atol=1e-12 * scale)
                 assert np.allclose(dropped, 0, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bipartitions_name_each_cut_once(n):
+    cuts = bipartitions(n)
+    assert len(cuts) == 2 ** (n - 1) - 1
+    sides = {frozenset([cut, tuple(p for p in range(n) if p not in cut)]) for cut in cuts}
+    assert len(sides) == len(cuts)
+    assert all(2 * len(cut) < n or (2 * len(cut) == n and cut[0] == 0) for cut in cuts)
+    singletons = [(p,) for p in range(n if n > 2 else 1)]
+    assert cuts[:len(singletons)] == singletons
+    assert [len(cut) for cut in cuts] == sorted(len(cut) for cut in cuts)
+    if n == 4:
+        assert cuts == [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)]
+
+
+@pytest.mark.parametrize("fmt", [(2, 2, 2), (2, 2, 2, 2)])
+def test_separability_pattern_agrees_with_local_ranks(fmt, spectrum_state, second_svd_routine):
+    # the last party's 2 x 2^(n-1) flattening has ratio 3e-9 > tol; its tall
+    # transpose would read 3e-10 < tol, so a second ranking of it would split the party off
+    n = len(fmt)
+    state = spectrum_state(fmt, n - 1, (1, 3e-9))
+    second_svd_routine(lambda rows: len(rows) > len(rows[0]))
+    assert local_ranks(state) == (2,) * n
+    assert separability_pattern(state) == (tuple(range(n)),)
