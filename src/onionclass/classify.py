@@ -172,7 +172,7 @@ def _classify_three_party(state: StateTensor, decide: _Decisions) -> ClassLabel:
     elif ones:
         name = "S" if len(ones) == 3 else f"B{ones[0] + 1}"
     else:
-        core, key = (compress_party(state, 0, decide.tol)[0], "embedded_det") if embedded else (state, "det")
+        core, key = (compress_party(state, 0, rank=2)[0], "embedded_det") if embedded else (state, "det")
         name = "W" if decide.hyperdet_is_zero(core, diag, key) else "GHZ"
     diag["boundary_warning"] = decide.warn
     return ClassLabel(family, name, ranks, ONION_LEVELS[family][name], diag)

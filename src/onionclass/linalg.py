@@ -1,10 +1,11 @@
 """Small dense linear algebra over the exact fields, plus float helpers.
 
-The exact routines are generic over any scalar supporting field arithmetic
-and truthiness as a zero test (GaussianRational and QuadExt both qualify).
-Determinant, rank, elimination transform and solve all read one row-echelon
-elimination (`_echelon`).  Matrices are plain lists of lists; every routine
-works on copies.
+Rank and determinant of an all-GaussianRational matrix eliminate on its
+Gaussian-integer numerators (`_bareiss`).  Every other exact routine, and
+rank and determinant over QuadExt, is generic over any field scalar with
+truthiness as its zero test and reads one row-echelon elimination
+(`_echelon`).  Matrices are plain lists of lists; every routine works on
+copies.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import GaussianRational, scalar_is_zero
+from .scalars import GaussianRational, numerators, reduced, scalar_is_zero
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,11 +57,56 @@ def _echelon(rows, n_pivot: int):
     return m, pivots, swaps
 
 
+def _bareiss(rows, n_cols: int):
+    """Fraction-free elimination on the Gaussian-integer numerators of `rows`, over their denominator d.
+
+    Pivots are those of `_echelon`.  Each entry becomes a minor of the
+    matrix (Sylvester's identity), so division by the previous pivot is
+    exact (Bareiss, Math. Comp. 22, 1968).  Returns (rank, last pivot,
+    swaps, d), or None unless every entry is a GaussianRational.
+    """
+    flat = numerators([x for r in rows for x in r])
+    if flat is None:
+        return None
+    pairs, d = flat
+    n_rows = len(rows)
+    m = [pairs[i * n_cols:(i + 1) * n_cols] for i in range(n_rows)]
+    rank = swaps = 0
+    u, v = 1, 0
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        pivot_row = next((i for i in range(rank, n_rows) if m[i][col] != (0, 0)), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            swaps += 1
+        top = m[rank]
+        p, q = top[col]
+        n2 = u * u + v * v
+        for row in m[rank + 1:]:
+            a, b = row[col]
+            for j in range(col + 1, n_cols):
+                (x, y), (s, t) = row[j], top[j]
+                re = p * x - q * y - a * s + b * t
+                im = p * y + q * x - a * t - b * s
+                row[j] = ((re * u + im * v) // n2, (im * u - re * v) // n2)
+        u, v = p, q
+        rank += 1
+    return rank, (u, v), swaps, d
+
+
 def exact_det(rows):
-    """Determinant: the signed product of the echelon pivots, a field zero when singular."""
+    """Determinant by exact elimination, a field zero when singular."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
+    fast = _bareiss(rows, n)
+    if fast is not None:
+        rank, (x, y), swaps, d = fast
+        sign = (-1) ** swaps
+        return reduced(sign * x, sign * y, d ** n) if rank == n else GaussianRational(0)
     m, pivots, swaps = _echelon(rows, n)
     if len(pivots) < n:
         return rows[0][0] * 0
@@ -72,7 +118,9 @@ def exact_det(rows):
 
 def exact_rank(rows) -> int:
     """Rank by exact row elimination."""
-    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
+    n_cols = len(rows[0]) if rows else 0
+    fast = _bareiss(rows, n_cols)
+    return len(_echelon(rows, n_cols)[1]) if fast is None else fast[0]
 
 
 def exact_elimination_transform(rows):

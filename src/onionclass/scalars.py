@@ -34,7 +34,7 @@ def _frac(x) -> Fraction:
 _new = object.__new__
 
 
-def _gr(x: int, y: int, d: int) -> "GaussianRational":
+def reduced(x: int, y: int, d: int) -> "GaussianRational":
     """The Gaussian rational (x + y*i)/d for d > 0, put in lowest terms."""
     if d != 1:
         g = math.gcd(x, y, d)
@@ -52,8 +52,8 @@ def _gr(x: int, y: int, d: int) -> "GaussianRational":
 def _sum(x: int, y: int, d: int, u: int, v: int, e: int) -> "GaussianRational":
     """(x + y*i)/d + (u + v*i)/e, sharing the denominator when d == e."""
     if d == e:
-        return _gr(x + u, y + v, d)
-    return _gr(x * e + u * d, y * e + v * d, d * e)
+        return reduced(x + u, y + v, d)
+    return reduced(x * e + u * d, y * e + v * d, d * e)
 
 
 def _parts(other):
@@ -77,6 +77,9 @@ class GaussianRational:
     __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self._x, self._y, self._d = re, im, 1
+            return
         re, im = _frac(re), _frac(im)
         b, e = re.denominator, im.denominator
         d = b * e // math.gcd(b, e)
@@ -120,7 +123,7 @@ class GaussianRational:
             return NotImplemented
         u, v, e = o
         x, y, d = self._x, self._y, self._d
-        return _gr(x * u - y * v, x * v + y * u, d * e)
+        return reduced(x * u - y * v, x * v + y * u, d * e)
 
     __rmul__ = __mul__
 
@@ -133,16 +136,16 @@ class GaussianRational:
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         x, y, d = self._x, self._y, self._d
-        return _gr(e * (x * u + y * v), e * (y * u - x * v), d * n2)
+        return reduced(e * (x * u + y * v), e * (y * u - x * v), d * n2)
 
     def __rtruediv__(self, other):
         o = _parts(other)
         if o is None:
             return NotImplemented
-        return _gr(*o) / self
+        return reduced(*o) / self
 
     def __neg__(self):
-        return _gr(-self._x, -self._y, self._d)
+        return reduced(-self._x, -self._y, self._d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -166,13 +169,16 @@ class GaussianRational:
         return (self._x, self._y, self._d) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        if self._y:
+            return hash((self.re, self.im))
+        return hash(self._x) if self._d == 1 else hash(Fraction(self._x, self._d))
 
     def __bool__(self):
         return bool(self._x) or bool(self._y)
 
     def conjugate(self) -> "GaussianRational":
-        return _gr(self._x, -self._y, self._d)
+        return reduced(self._x, -self._y, self._d)
 
     def abs_squared(self) -> Fraction:
         return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
@@ -195,6 +201,19 @@ class GaussianRational:
             return frac_str(re)
         sign = "+" if im >= 0 else "-"
         return f"{frac_str(re)}{sign}{frac_str(abs(im))}i"
+
+
+def numerators(values):
+    """(pairs, d): each value as (x + y*i)/d, with (x, y) in pairs and d the lcm denominator.
+
+    None when any value is not a GaussianRational, such as a QuadExt or a float.
+    """
+    if not all(type(v) is GaussianRational for v in values):
+        return None
+    d = math.lcm(*(v._d for v in values))
+    if d == 1:
+        return [(v._x, v._y) for v in values], 1
+    return [(v._x * (k := d // v._d), v._y * k) for v in values], d
 
 
 def frac_str(f: Fraction) -> str:
@@ -283,7 +302,7 @@ class QuadExt:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.rad))
+        return hash((self.a, self.b, self.rad)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -33,6 +33,8 @@ from .scalars import (
     as_exact,
     as_float,
     is_exact,
+    numerators,
+    reduced,
     scalar_is_zero,
 )
 
@@ -311,17 +313,28 @@ def mode_product(amps: tuple, fmt: tuple[int, ...], party: int, matrix) -> tuple
 
     Amplitudes are row-major, so the party's axis has stride
     prod(fmt[party+1:]); its dimension becomes the number of rows of
-    `matrix`.
+    `matrix`.  When amplitudes and matrix are all Gaussian rationals, each
+    output is a sum of Gaussian-integer numerator products, reduced once.
     """
     stride = math.prod(fmt[party + 1:])
     dim = fmt[party]
-    out = []
-    for block in range(0, len(amps), dim * stride):
-        for row in matrix:
-            for r in range(block, block + stride):
-                terms = (row[j] * amps[r + j * stride] for j in range(1, dim))
-                out.append(sum(terms, row[0] * amps[r]))
-    return tuple(out)
+    num = numerators(amps)
+    mat = num and numerators([x for row in matrix for x in row])
+    if mat:
+        (a, da), (m, dm) = num, mat
+        matrix = [m[i:i + dim] for i in range(0, len(m), dim)]
+
+        def entry(row, r):
+            x = y = 0
+            for (u, v), (p, q) in zip(row, a[r:r + dim * stride:stride]):
+                x += u * p - v * q
+                y += u * q + v * p
+            return reduced(x, y, da * dm)
+    else:
+        def entry(row, r):
+            return sum((row[j] * amps[r + j * stride] for j in range(1, dim)), row[0] * amps[r])
+    return tuple(entry(row, r) for block in range(0, len(amps), dim * stride)
+                 for row in matrix for r in range(block, block + stride))
 
 
 def apply_local(state: StateTensor, ops: LocalOperatorTuple) -> StateTensor:
@@ -382,20 +395,23 @@ def separability_blocks(n_parties: int, rank_one_cuts) -> tuple[tuple[int, ...],
     return tuple(tuple(b) for b in blocks.values())
 
 
-def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL):
+def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL, rank: int | None = None):
     """Rotate one party so its support occupies the leading basis vectors.
 
     Returns (reduced, rank, transform): `transform` is an invertible basis
     change on the party, and `reduced` is the state restricted to the
     party's row space.  When the rank is 1 the party is dropped entirely
-    from the format; otherwise its dimension shrinks to the rank.
+    from the format; otherwise its dimension shrinks to the rank.  A float
+    state is ranked at `tol` unless the caller passes the `rank` it has
+    decided; exact mode ranks by the elimination that gives the transform.
     """
     rows = flatten(state, [party])
     if state.field_tag == EXACT:
         transform, rank = linalg.exact_elimination_transform(rows)
     else:
         import numpy as np
-        rank = linalg.float_rank(linalg.singular_values(rows), tol)  # the rank cut_rank gives
+        if rank is None:
+            rank = linalg.float_rank(linalg.singular_values(rows), tol)  # the rank cut_rank gives
         u = np.linalg.svd(linalg.float_matrix(rows))[0]
         transform = [[complex(x) for x in row] for row in u.conj().T]
     amps = mode_product(state.amplitudes, state.format, party, transform[:rank])

@@ -388,6 +388,19 @@ def test_core_is_compressed_at_the_decided_party0_rank(spectrum_state, second_sv
     assert label.diagnostics["embedded_det"] == det3(core)
 
 
+def test_format322_core_reuses_the_decided_rank(monkeypatch, rng):
+    # one SVD of the 3x4 flattening ranks party 0, one more gives the core's basis
+    pushed = apply_local(to_float(class_catalog(FORMAT322)["GHZ"]), _random_complex_ops(rng, (3, 2, 2)))
+    real, shapes = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert classify(pushed).name == "GHZ"
+    assert shapes.count((3, 4)) == 2
+
+
 @pytest.mark.parametrize("ranks, name", [((1, 1, 2), "B1"), ((2, 1, 1), "B2"), ((1, 1, 1), "S")])
 def test_format322_rank_one_party_names_the_class(monkeypatch, ranks, name):
     # ranks no exact state has, as float ranks inside the zero band can read

@@ -1,12 +1,14 @@
 """The exact elimination routines against independent references."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onionclass import GaussianRational
-from onionclass.linalg import exact_det, exact_elimination_transform, exact_rank, exact_solve
+from onionclass.linalg import _echelon, exact_det, exact_elimination_transform, exact_rank, exact_solve
 from onionclass.scalars import QuadExt
 
 ZERO = GaussianRational(0)
@@ -130,3 +132,51 @@ def test_quadratic_extension_rank_and_det():
     assert exact_rank(singular) == 1
     assert not exact_det(singular)
     assert exact_rank(q) == 3
+
+
+# --- the numerator kernels against _echelon and a cofactor expansion ----------
+
+_props = settings(derandomize=True, max_examples=150, deadline=None)
+_entries = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda a, b, c, e: GaussianRational(Fraction(a, c), Fraction(b, e)),
+              st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def _kernel_matrices(draw, square):
+    """Matrices with mixed denominators, some with a dependent row, a zero row or a zero column."""
+    n_rows = draw(st.integers(1, 4))
+    n_cols = n_rows if square else draw(st.integers(1, 6))
+    m = [[draw(_entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n_rows)))[:2]
+        c = draw(_entries)
+        m[i] = [c * x for x in m[j]]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n_cols - 1))
+        for row in m:
+            row[k] = ZERO
+    return m
+
+
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    minors = ([r[:j] + r[j + 1:] for r in rows[1:]] for j in range(len(rows)))
+    return sum(((-1) ** j * rows[0][j] * _cofactor_det(minor) for j, minor in enumerate(minors)), ZERO)
+
+
+@_props
+@given(_kernel_matrices(square=False))
+def test_rank_kernel_matches_echelon(m):
+    assert exact_rank(m) == len(_echelon(m, len(m[0]))[1])
+
+
+@_props
+@given(_kernel_matrices(square=True))
+def test_det_kernel_matches_cofactor_expansion(m):
+    det = exact_det(m)
+    assert isinstance(det, GaussianRational)
+    assert det == _cofactor_det(m)

@@ -180,7 +180,9 @@ def test_equality_and_hash(left, right):
     (x, p), (y, q) = left, right
     assert (x == y) == (p == q)
     twin = GaussianRational(f"{3 * p[0].numerator}/{3 * p[0].denominator}", p[1])
-    assert twin == x and hash(twin) == hash(x) == hash(p)
+    assert twin == x and hash(twin) == hash(x)
+    # a real value hashes as the Fraction it equals, any other as its (re, im) pair
+    assert hash(x) == (hash(p[0]) if p[1] == 0 else hash(p))
     assert (x == p[0]) == (p[1] == 0)
     if p[1] == 0 and p[0].denominator == 1:
         assert x == int(p[0])
@@ -210,3 +212,30 @@ def test_str_lowest_terms(value):
         text += f"{sign}{abs(im_).numerator}/{abs(im_).denominator}i"
     assert str(x) == text
     assert _EXACT_STR.match(str(x))
+
+
+_int_parts = st.one_of(st.booleans(), st.integers(-10**20, 10**20))
+
+
+@_props
+@given(_int_parts, _int_parts)
+def test_int_constructor_matches_fraction_path(re_, im_):
+    for value, ref in [(GaussianRational(re_, im_), GaussianRational(Fraction(re_), Fraction(im_))),
+                       (GaussianRational(re_), GaussianRational(Fraction(re_)))]:
+        assert (value._x, value._y, value._d) == (ref._x, ref._y, ref._d)
+        assert repr(value) == repr(ref)
+
+
+@pytest.mark.parametrize("value, twin", [
+    (GaussianRational(3), 3),
+    (GaussianRational(-1), -1),
+    (GaussianRational(0), 0),
+    (GaussianRational(Fraction(-5, 4)), Fraction(-5, 4)),
+    (QuadExt(3, 0, GaussianRational(2)), GaussianRational(3)),
+    (QuadExt(3, 0, GaussianRational(2)), 3),
+    (QuadExt(GaussianRational(1, 2), 0, GaussianRational(5)), GaussianRational(1, 2)),
+])
+def test_equal_scalars_hash_equal(value, twin):
+    assert value == twin and twin == value
+    assert hash(value) == hash(twin)
+    assert len({value, twin}) == 1

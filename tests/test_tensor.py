@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onionclass import (
     BadCut,
@@ -30,12 +31,12 @@ from onionclass import (
     to_float,
 )
 from onionclass.errors import DocumentInvalid
-from onionclass.scalars import GaussianRational as GR
+from onionclass.scalars import GaussianRational as GR, QuadExt
 from onionclass.selftest import rand_invertible, rand_singular
 from onionclass.oracle import random_rational_state
 from onionclass.classify import RANKS_BY_NAME, class_catalog, classify
 from onionclass.linalg import float_rank
-from onionclass.tensor import bipartitions, compress_party
+from onionclass.tensor import bipartitions, compress_party, mode_product
 
 
 def test_new_state_validation():
@@ -388,3 +389,54 @@ def test_separability_pattern_agrees_with_local_ranks(fmt, spectrum_state, secon
     second_svd_routine(lambda rows: len(rows) > len(rows[0]))
     assert local_ranks(state) == (2,) * n
     assert separability_pattern(state) == (tuple(range(n)),)
+
+
+# --- mode_product against a direct sum over multi-indices ---------------------
+
+_props = settings(derandomize=True, max_examples=100, deadline=None)
+_gaussians = st.builds(lambda a, b, c, e: GR(Fraction(a, c), Fraction(b, e)),
+                       st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 6), st.integers(1, 6))
+
+
+def _direct_mode_product(amps, fmt, party, matrix):
+    """b[.., i, ..] = sum_j matrix[i][j] a[.., j, ..], one multi-index at a time."""
+    def offset(index, dims):
+        return functools.reduce(lambda off, di: off * di[0] + di[1], zip(dims, index), 0)
+    out_fmt = fmt[:party] + (len(matrix),) + fmt[party + 1:]
+    out = []
+    for index in itertools.product(*map(range, out_fmt)):
+        terms = [matrix[index[party]][j] * amps[offset(index[:party] + (j,) + index[party + 1:], fmt)]
+                 for j in range(fmt[party])]
+        out.append(sum(terms[1:], terms[0]))
+    return tuple(out)
+
+
+@st.composite
+def _contractions(draw):
+    """Amplitudes, format, party, and a matrix of 1 to 3 rows, square or not (a compression's rows)."""
+    fmt = draw(st.sampled_from([(2, 2), (2, 3), (3, 2, 2), (2, 2, 2), (2, 2, 2, 2)]))
+    party = draw(st.integers(0, len(fmt) - 1))
+    amps = tuple(draw(st.lists(_gaussians, min_size=math.prod(fmt), max_size=math.prod(fmt))))
+    n_rows = draw(st.integers(1, 3))
+    matrix = [draw(st.lists(_gaussians, min_size=fmt[party], max_size=fmt[party])) for _ in range(n_rows)]
+    return amps, fmt, party, matrix
+
+
+@_props
+@given(_contractions())
+def test_mode_product_matches_direct_sum(case):
+    out = mode_product(*case)
+    assert all(isinstance(x, GR) for x in out)
+    assert out == _direct_mode_product(*case)
+
+
+def test_mode_product_over_the_extension_field():
+    rad, fmt = GR(2), (2, 2, 2)
+    amps = tuple(GR(k, 1 - k) for k in range(8))
+    matrix = [[QuadExt(0, 1, rad), QuadExt(1, 0, rad)], [QuadExt(GR(0, 1), 0, rad), QuadExt(2, -1, rad)]]
+    # an extension scalar among the amplitudes or in the matrix takes the generic loop
+    for a, m in [(amps, matrix), ((QuadExt(1, 1, rad),) + amps[1:], [[GR(1), GR(2, 1)], [GR(0), GR(-1)]])]:
+        for party in range(3):
+            out = mode_product(a, fmt, party, m)
+            assert any(isinstance(x, QuadExt) for x in out)
+            assert out == _direct_mode_product(a, fmt, party, m)
