@@ -14,7 +14,6 @@ import cmath
 import re
 from dataclasses import dataclass, field
 
-from . import linalg
 from .errors import (
     FamilyMismatch,
     NoCanonicalRepresentative,
@@ -24,20 +23,15 @@ from .errors import (
 from .hyperdet import binary_form_coeffs, generic4_state, hyperdet
 from .scalars import (
     DEFAULT_TOL,
-    EXACT,
     QuadExt,
-    as_float,
     exact_sqrt,
     is_exact,
-    scalar_is_zero,
 )
 from .tensor import (
+    Decisions,
     StateTensor,
-    bipartitions,
     check_tol,
     compress_party,
-    cut_rank,
-    det_scale,
     flatten,
     from_terms,
     local_operators,
@@ -96,38 +90,11 @@ class ClassLabel:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-class _Decisions:
-    """The zero tests of one classification, each through scalar_is_zero at `tol`.
-
-    A float value tested against its scale whose normalized magnitude q
-    lies in the band tol/10 < q <= 10 tol, within a decade of the zero
-    threshold, sets `warn`, reported as diagnostics["boundary_warning"].
-    """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.warn = False
-
-    def is_zero(self, value, scale: float) -> bool:
-        if not is_exact(value) and scale > 0:
-            self.warn |= bool(self.tol / 10 < abs(as_float(value)) / scale <= 10 * self.tol)
-        return scalar_is_zero(value, scale, self.tol)
-
-    def rank(self, state: StateTensor, cut) -> int:
-        """A cut's rank: exact elimination, or 1 plus the singular values not zero against the largest."""
-        if state.field_tag == EXACT:
-            return cut_rank(state, cut)
-        sv = linalg.singular_values(flatten(state, cut))
-        return 1 + sum(not self.is_zero(s, sv[0]) for s in sv[1:])
-
-    def local_ranks(self, state: StateTensor) -> tuple[int, ...]:
-        return tuple(self.rank(state, (p,)) for p in range(state.n_parties))
-
-    def hyperdet_is_zero(self, state: StateTensor, diag: dict, key: str = "det") -> bool:
-        """Record hyperdet(state) as diag[key] and test it against det_scale at its degree."""
-        result = hyperdet(state)
-        diag[key] = result.value
-        return self.is_zero(result.value, det_scale(state, result.degree))
+def _hyperdet_is_zero(decide: Decisions, state: StateTensor, diag: dict, key: str = "det") -> bool:
+    """Record hyperdet(state) as diag[key]; whether it is zero."""
+    result = hyperdet(state)
+    diag[key] = result.value
+    return decide.invariant_is_zero(state, result.value, result.degree)
 
 
 def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
@@ -138,9 +105,8 @@ def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
     diagnostics["boundary_warning"] = True.  A tolerance that is not
     finite and nonnegative raises DocumentInvalid.
     """
-    check_tol(tol)
     fmt = state.format
-    decide = _Decisions(tol)
+    decide = Decisions(tol)
     if len(fmt) == 2:
         if fmt[0] != fmt[1]:
             raise UnsupportedFormat(f"bipartite classification needs a square format, got {fmt}")
@@ -155,7 +121,7 @@ def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
     raise UnsupportedFormat(f"no classifier for format {fmt}")
 
 
-def _classify_three_party(state: StateTensor, decide: _Decisions) -> ClassLabel:
+def _classify_three_party(state: StateTensor, decide: Decisions) -> ClassLabel:
     """2x2x2 or 3x2x2: det322 at party-0 rank 3, S or B_k at a rank-1 party, else det3 of the core.
 
     A 3x2x2 core is the state compressed on party 0, and its det3 is embedded_det.
@@ -168,24 +134,23 @@ def _classify_three_party(state: StateTensor, decide: _Decisions) -> ClassLabel:
     if embedded:
         diag["embedded_det"] = None
     if ranks[0] == 3:
-        name = "DEG322" if decide.hyperdet_is_zero(state, diag) else "GEN322"
+        name = "DEG322" if _hyperdet_is_zero(decide, state, diag) else "GEN322"
     elif ones:
         name = "S" if len(ones) == 3 else f"B{ones[0] + 1}"
     else:
         core, key = (compress_party(state, 0, rank=2)[0], "embedded_det") if embedded else (state, "det")
-        name = "W" if decide.hyperdet_is_zero(core, diag, key) else "GHZ"
+        name = "W" if _hyperdet_is_zero(decide, core, diag, key) else "GHZ"
     diag["boundary_warning"] = decide.warn
     return ClassLabel(family, name, ranks, ONION_LEVELS[family][name], diag)
 
 
-def _classify_4qubit(state: StateTensor, decide: _Decisions) -> ClassLabel:
+def _classify_4qubit(state: StateTensor, decide: Decisions) -> ClassLabel:
     diag: dict = {}
-    name = "DEGENERATE4" if decide.hyperdet_is_zero(state, diag) else "GENERIC4"
+    name = "DEGENERATE4" if _hyperdet_is_zero(decide, state, diag) else "GENERIC4"
     ranks = diag["local_ranks"] = decide.local_ranks(state)
     if name == "DEGENERATE4":
-        cut_ranks = {c: ranks[c[0]] if len(c) == 1 else decide.rank(state, c) for c in bipartitions(4)}
-        diag["cut_ranks"] = cut_ranks
-        diag["separability"] = separability_blocks(4, [cut for cut, r in cut_ranks.items() if r == 1])
+        cut_ranks = diag["cut_ranks"] = decide.cut_ranks(state, ranks)
+        diag["separability"] = separability_blocks(4, cut_ranks)
     diag["boundary_warning"] = decide.warn
     return ClassLabel(QUBIT4, name, ranks, ONION_LEVELS[QUBIT4][name], diag)
 
@@ -279,18 +244,12 @@ def reachable(frm, to, family: str | None = None) -> bool:
     edges = _DAG_EDGES.get(fam_a)
     if edges is None or name_a not in edges or name_b not in edges:
         raise FamilyMismatch(f"unknown class names {name_a!r}, {name_b!r} for family {fam_a!r}")
-    if name_a == name_b:
-        return True
-    seen = set()
-    stack = [name_a]
+    seen, stack = {name_a}, [name_a]
     while stack:
-        for nxt in edges[stack.pop()]:
-            if nxt == name_b:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+        for nxt in edges[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
+    return name_b in seen
 
 
 # --- canonical forms for three qubits -------------------------------------

@@ -28,7 +28,7 @@ from .documents import (
     state_document,
 )
 from .errors import DocumentInvalid, OnionError, UnsupportedFormat
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, scalar_is_zero
+from .scalars import DEFAULT_TOL, EXACT, FLOAT
 
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
@@ -40,10 +40,10 @@ def _read_document(input_path):
             with open(input_path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        raise DocumentInvalid(f"bad JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentInvalid(f"unreadable input: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or a JSON integer past Python's int-to-str digit limit
+        raise DocumentInvalid(f"bad JSON: {exc}") from exc
 
 
 def _emit(data: dict, output: str):
@@ -117,7 +117,13 @@ def document_command(name: str, *options, ensemble: bool = False):
         def command(input_path, output, **opts):
             doc = _read_document(input_path)
             parsed = parse_ensemble_document(doc) if ensemble else parse_state_document(doc)
-            _emit(report(parsed, **opts), output)
+            # exact results print in full; documents bound the length of input literals
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                _emit(report(parsed, **opts), output)
+            finally:
+                sys.set_int_max_str_digits(limit)
 
         # click lists options in decorator order, so they are applied last to first
         for option in reversed((
@@ -155,9 +161,10 @@ def hyperdet_report(state, tol):
     """Evaluate the hyperdeterminant of a state document."""
     result = hyperdet(state)
     report = {**_hyperdet_fields(result), "format": list(result.format)}
-    # near zero: inside classify's zero band or the decade above it
-    if state.field_tag == FLOAT and state.format == (2, 2, 2, 2) and scalar_is_zero(
-        result.value, tensor_mod.det_scale(state, result.degree), 10 * tol
+    decide = tensor_mod.Decisions(tol)
+    # near zero: zero at tol, or in the decade above it, where classify's boundary band warns
+    if state.field_tag == FLOAT and state.format == (2, 2, 2, 2) and (
+        decide.invariant_is_zero(state, result.value, result.degree) or decide.warn
     ):
         report["warning"] = "degree-24 float evaluation is ill-conditioned near zero; use exact mode"
     return report
@@ -166,11 +173,14 @@ def hyperdet_report(state, tol):
 @document_command("invariants")
 def invariants_report(state, tol):
     """Report ranks, separability, hyperdeterminant, and measures."""
+    decide = tensor_mod.Decisions(tol)
+    ranks = decide.local_ranks(state)
+    blocks = tensor_mod.separability_blocks(state.n_parties, decide.cut_ranks(state, ranks))
     report = {
         "format": list(state.format),
         "mode": state.field_tag,
-        "local_ranks": list(tensor_mod.local_ranks(state, tol)),
-        "separability": [list(b) for b in tensor_mod.separability_pattern(state, tol)],
+        "local_ranks": list(ranks),
+        "separability": [list(b) for b in blocks],
     }
     try:
         report["hyperdet"] = _hyperdet_fields(hyperdet(state))

@@ -8,6 +8,7 @@ last party index fastest.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import DocumentInvalid
@@ -19,6 +20,8 @@ from .tensor import StateTensor, new_state
 def _parse_fraction(text) -> Fraction:
     if not isinstance(text, str):
         raise DocumentInvalid(f"exact components must be 'p/q' strings, got {text!r}")
+    if len(text) > sys.int_info.default_max_str_digits:
+        raise DocumentInvalid(f"rational literals are limited to {sys.int_info.default_max_str_digits} characters")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -58,10 +61,11 @@ def parse_state_document(doc) -> StateTensor:
         else:
             for comp in (re, im):
                 if isinstance(comp, bool) or not isinstance(comp, (int, float)):
-                    raise DocumentInvalid(
-                        f"float components must be JSON numbers, got {comp!r}"
-                    )
-            values.append(complex(re, im))
+                    raise DocumentInvalid(f"float components must be JSON numbers, got {comp!r}")
+            try:
+                values.append(complex(re, im))
+            except OverflowError:
+                raise DocumentInvalid("a float component is a JSON integer past the float range") from None
     return new_state(fmt, values, mode)
 
 

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import GaussianRational, numerators, reduced, scalar_is_zero
+from .scalars import GaussianRational, numerators, reduced
 
 if TYPE_CHECKING:
     import numpy as np
@@ -266,10 +266,3 @@ def singular_values(rows) -> np.ndarray:
     """Singular values of a matrix of scalars, largest first."""
     import numpy as np
     return np.linalg.svd(float_matrix(rows), compute_uv=False)
-
-
-def float_rank(sv: np.ndarray, tol: float) -> int:
-    """Rank from descending singular values: the largest if nonzero, and the rest not zero against it."""
-    if not sv[0]:
-        return 0
-    return 1 + sum(not scalar_is_zero(s, sv[0], tol) for s in sv[1:])

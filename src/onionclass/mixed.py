@@ -52,7 +52,8 @@ class Ensemble:
 
 
 def ensemble(members, tol: float = DEFAULT_TOL) -> Ensemble:
-    """Validate (weight, state) pairs: positive weights, uniform format."""
+    """Validate (weight, state) pairs: positive weights, uniform format; DocumentInvalid for a bad `tol`."""
+    check_tol(tol)
     packed = []
     for weight, state in members:
         if isinstance(weight, (int, Fraction)):
@@ -91,13 +92,8 @@ def ensemble_upper_class(ens: Ensemble, tol: float = DEFAULT_TOL) -> LadderClass
     fmt = ens.members[0][1].format
     if fmt != (2, 2, 2):
         raise UnsupportedFormat(f"the mixed ladder is defined for (2, 2, 2) only, got {fmt}")
-    best = LadderClass(LADDER_ORDER[0])
-    for _, state in ens.members:
-        name = _PURE_TO_LADDER[classify(state, tol).name]
-        candidate = LadderClass(name)
-        if best.rank < candidate.rank:
-            best = candidate
-    return best
+    return max((LadderClass(_PURE_TO_LADDER[classify(state, tol).name]) for _, state in ens.members),
+               key=lambda ladder: ladder.rank)
 
 
 def density_matrix(ens: Ensemble):

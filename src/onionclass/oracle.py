@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DocumentInvalid, UnsupportedFormat
-from .scalars import EXACT, GaussianRational, as_float
+from .scalars import EXACT, GaussianRational, as_float, numerators
 from .tensor import ProductVector, StateTensor, check_format, check_seed, check_tol, new_state
 
 if TYPE_CHECKING:
@@ -38,6 +39,16 @@ def _tensor_array(state: StateTensor) -> np.ndarray:
     import numpy as np
     arr = np.array([as_float(a) for a in state.amplitudes], dtype=complex)
     return arr.reshape(state.format)
+
+
+def _float_range(state: StateTensor) -> StateTensor:
+    """An exact state times the power of two, exactly, that brings its largest component near 1; others as is."""
+    num = numerators(state.amplitudes)
+    if num is None:
+        return state
+    top = max(max(abs(x), abs(y)) for x, y in num[0])
+    shift = Fraction(2) ** (num[1].bit_length() - top.bit_length())
+    return StateTensor(state.format, tuple(a * shift for a in state.amplitudes), state.field_tag)
 
 
 class _Pairing:
@@ -265,18 +276,19 @@ def critical_point_search(
 ) -> CriticalSearchResult:
     """Search for a critical point of the pairing on the sphere product.
 
-    The tensor is divided by its Frobenius norm, and the reported residual
-    is critical_residual(state / |state|, witness): the verdict depends on
-    the state's direction only.  Two stages run on all `restarts` starts at
-    once, each seeded seed+index.  Alternating exact per-party
-    minimization drives every start towards a critical point, and
-    Levenberg-Marquardt steps with per-start damping finish the starts
-    whose critical point is singular.  The best residual is selected, so
-    the verdict is deterministic under any execution order.  found=True
-    certifies degeneracy up to tol; found=False reports the best residual
-    as evidence.  A negative seed, fewer than one restart or a tolerance
-    that is not finite and nonnegative raises DocumentInvalid; fewer than
-    2 or more than 8 parties raise UnsupportedFormat.
+    An exact state is scaled by a power of two before its float conversion,
+    so amplitudes past the float range convert.  The tensor is divided by
+    its Frobenius norm, and the reported residual is critical_residual(state
+    / |state|, witness): the verdict depends on the state's direction only.
+    Two stages run on all `restarts` starts at once, each seeded seed+index.
+    Alternating exact per-party minimization drives every start towards a
+    critical point, and Levenberg-Marquardt steps with per-start damping
+    finish the starts whose critical point is singular.  The best residual
+    is selected, so the verdict is deterministic under any execution order.
+    found=True certifies degeneracy up to tol; found=False reports the best
+    residual as evidence.  A negative seed, fewer than one restart or a
+    tolerance that is not finite and nonnegative raises DocumentInvalid;
+    fewer than 2 or more than 8 parties raise UnsupportedFormat.
     """
     import numpy as np
     check_seed(seed)
@@ -284,7 +296,7 @@ def critical_point_search(
     if restarts < 1:
         raise DocumentInvalid(f"restarts must be at least 1, got {restarts}")
     _check_parties(state)
-    amps = _tensor_array(state)
+    amps = _tensor_array(_float_range(state))
     amps = amps / np.abs(amps).max()  # keeps the squared norm below overflow
     pairing = _Pairing(amps / np.linalg.norm(amps))
     x = pairing.polish(pairing.random_rows(restarts, seed), _POLISH_SWEEPS)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .classify import FORMAT322, ONION_LEVELS, classify
 from .errors import NotInSection, WrongFormat
-from .scalars import DEFAULT_TOL, scalar_is_zero
-from .tensor import StateTensor, cut_rank, det_scale
+from .scalars import DEFAULT_TOL
+from .tensor import Decisions, StateTensor, cut_rank
 
 
 def node_test_3qubit(state: StateTensor, party: int, tol: float = DEFAULT_TOL) -> bool:
@@ -57,8 +57,8 @@ def section_flags(state: StateTensor, tol: float = DEFAULT_TOL) -> SectionFlags:
     if state.format != (2, 2, 2):
         raise WrongFormat(f"expected format (2, 2, 2), got {state.format}")
     a = state.amplitudes
-    scale = det_scale(state)
-    zero = lambda v: scalar_is_zero(v, scale, tol)
+    decide = Decisions(tol)
+    zero = lambda v: decide.invariant_is_zero(state, v, 1)
     in_dual = zero(a[0]) and zero(a[1]) and zero(a[2]) and zero(a[4])
     in_node = in_dual and zero(a[3]) and zero(a[7])
     return SectionFlags(in_dual, in_node)

@@ -101,17 +101,6 @@ class LocalOperatorTuple:
     operators: tuple
 
 
-def det_scale(state: StateTensor, degree: int = 1) -> float:
-    """Scale of a degree-`degree` invariant of the state, for scalar_is_zero.
-
-    Exact values test exactly, so the scale is 1; float values compare
-    against the largest amplitude magnitude to the power `degree`.
-    """
-    if state.field_tag == EXACT:
-        return 1.0
-    return state.scale() ** degree
-
-
 def product_vector(factors: Sequence[Sequence]) -> ProductVector:
     """Validate per-party coefficient vectors (each must be nonzero)."""
     packed = tuple(tuple(f) for f in factors)
@@ -239,17 +228,49 @@ def flatten(state: StateTensor, parties: Sequence[int]):
     return [[amps[r + c] for c in cols] for r in _offsets(state.format, cut)]
 
 
+class Decisions:
+    """Every rank and invariant zero test of one computation, through scalar_is_zero at a checked `tol`.
+
+    A float value whose magnitude q against its scale lies in the band
+    tol/10 < q <= 10 tol, a decade either side of the zero threshold, sets `warn`.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = check_tol(tol)
+        self.warn = False
+
+    def is_zero(self, value, scale: float) -> bool:
+        if not is_exact(value) and scale > 0:
+            self.warn |= bool(self.tol / 10 < abs(as_float(value)) / scale <= 10 * self.tol)
+        return scalar_is_zero(value, scale, self.tol)
+
+    def invariant_is_zero(self, state: StateTensor, value, degree: int) -> bool:
+        """Whether a degree-`degree` invariant of `state` is zero: exactly, or against max|a|**degree."""
+        return self.is_zero(value, 1.0 if state.field_tag == EXACT else state.scale() ** degree)
+
+    def rank(self, state: StateTensor, parties: Sequence[int]) -> int:
+        """A cut's rank: exact elimination, or 1 plus the singular values not zero against the largest."""
+        rows = flatten(state, parties)
+        if state.field_tag == EXACT:
+            return linalg.exact_rank(rows)
+        sv = linalg.singular_values(rows)
+        return 1 + sum(not self.is_zero(s, sv[0]) for s in sv[1:])
+
+    def local_ranks(self, state: StateTensor) -> tuple[int, ...]:
+        return tuple(self.rank(state, (p,)) for p in range(state.n_parties))
+
+    def cut_ranks(self, state: StateTensor, ranks: Sequence[int]) -> dict:
+        """Each bipartition's rank, in `bipartitions` order, singletons read from the local `ranks`."""
+        return {c: ranks[c[0]] if len(c) == 1 else self.rank(state, c) for c in bipartitions(state.n_parties)}
+
+
 def cut_rank(state: StateTensor, parties: Sequence[int], tol: float = DEFAULT_TOL) -> int:
     """Rank of the bipartite-cut flattening (the local rank for singletons)."""
-    rows = flatten(state, parties)
-    if state.field_tag == EXACT:
-        return linalg.exact_rank(rows)
-    return linalg.float_rank(linalg.singular_values(rows), tol)
+    return Decisions(tol).rank(state, parties)
 
 
 def local_ranks(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
-    check_tol(tol)
-    return tuple(cut_rank(state, [p], tol) for p in range(state.n_parties))
+    return Decisions(tol).local_ranks(state)
 
 
 def schmidt_coefficients(state: StateTensor):
@@ -376,8 +397,8 @@ def separability_pattern(state: StateTensor, tol: float = DEFAULT_TOL) -> tuple[
     cut"; for pure states a cut has rank 1 exactly when the state factors
     across it.  Each bipartition is ranked once, by its side in `bipartitions`.
     """
-    n = state.n_parties
-    return separability_blocks(n, [cut for cut in bipartitions(n) if cut_rank(state, cut, tol) == 1])
+    decide = Decisions(tol)
+    return separability_blocks(state.n_parties, decide.cut_ranks(state, decide.local_ranks(state)))
 
 
 def bipartitions(n_parties: int) -> list[tuple[int, ...]]:
@@ -387,11 +408,11 @@ def bipartitions(n_parties: int) -> list[tuple[int, ...]]:
             if 2 * size < n_parties or cut[0] == 0]
 
 
-def separability_blocks(n_parties: int, rank_one_cuts) -> tuple[tuple[int, ...], ...]:
-    """Parties grouped by the side they take in every rank-1 cut, blocks ordered by least party."""
+def separability_blocks(n_parties: int, cut_ranks: dict) -> tuple[tuple[int, ...], ...]:
+    """Parties grouped by the side they take in every rank-1 cut of {cut: rank}, blocks ordered by least party."""
     blocks: dict[tuple, list[int]] = {}
     for p in range(n_parties):
-        blocks.setdefault(tuple(p in cut for cut in rank_one_cuts), []).append(p)
+        blocks.setdefault(tuple(p in cut for cut, r in cut_ranks.items() if r == 1), []).append(p)
     return tuple(tuple(b) for b in blocks.values())
 
 
@@ -404,14 +425,16 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL, ran
     from the format; otherwise its dimension shrinks to the rank.  A float
     state is ranked at `tol` unless the caller passes the `rank` it has
     decided; exact mode ranks by the elimination that gives the transform.
+    A tolerance that is not finite and nonnegative raises DocumentInvalid.
     """
+    decide = Decisions(tol)
     rows = flatten(state, [party])
     if state.field_tag == EXACT:
         transform, rank = linalg.exact_elimination_transform(rows)
     else:
         import numpy as np
         if rank is None:
-            rank = linalg.float_rank(linalg.singular_values(rows), tol)  # the rank cut_rank gives
+            rank = decide.rank(state, (party,))
         u = np.linalg.svd(linalg.float_matrix(rows))[0]
         transform = [[complex(x) for x in row] for row in u.conj().T]
     amps = mode_product(state.amplitudes, state.format, party, transform[:rank])
@@ -439,6 +462,7 @@ def states_proportional(a: StateTensor, b: StateTensor, tol: float = DEFAULT_TOL
     a_i - r b_i is zero against max|a| + |r b_i| at 10 tol, the rule of
     np.allclose with rtol = 10 tol and atol = 10 tol max|a|.
     """
+    check_tol(tol)
     if a.format != b.format:
         return False
     return _rays_equal(a.amplitudes, b.amplitudes, tol)

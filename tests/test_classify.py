@@ -11,6 +11,7 @@ from onionclass import (
     canonicalize_3qubit,
     class_catalog,
     classify,
+    cut_rank,
     ensemble,
     ensemble_upper_class,
     exact_state,
@@ -25,13 +26,14 @@ from onionclass import (
     states_proportional,
     to_float,
 )
-from onionclass.classify import FORMAT322, QUBIT3, QUBIT4, RANKS_BY_NAME, ClassLabel, _Decisions
+from onionclass.classify import FORMAT322, QUBIT3, QUBIT4, RANKS_BY_NAME, ClassLabel
 from onionclass.errors import DocumentInvalid
 from onionclass.hyperdet import det3
 from onionclass.oracle import random_rational_state
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible, rand_singular
-from onionclass.tensor import compress_party
+from onionclass.singular import cusp_test_3qubit, node_test_322, node_test_3qubit, section_flags
+from onionclass.tensor import Decisions, compress_party
 
 
 def test_classify_catalog_qubit3():
@@ -364,16 +366,29 @@ def test_float_format322_pushed_keeps_label(rng):
             assert label.local_ranks == RANKS_BY_NAME[FORMAT322][name]
 
 
-@pytest.mark.parametrize("entry", [
-    classify,
-    canonicalize_3qubit,
-    local_ranks,
-    lambda state, tol: ensemble_upper_class(ensemble([(1, state)]), tol),
-], ids=["classify", "canonicalize_3qubit", "local_ranks", "ensemble_upper_class"])
+@pytest.mark.parametrize("entry, exact", [
+    pytest.param(classify, False, id="classify"),
+    pytest.param(canonicalize_3qubit, False, id="canonicalize_3qubit"),
+    pytest.param(local_ranks, False, id="local_ranks"),
+    pytest.param(lambda state, tol: ensemble_upper_class(ensemble([(1, state)]), tol), False,
+                 id="ensemble_upper_class"),
+    pytest.param(lambda state, tol: cut_rank(state, [0], tol), False, id="cut_rank-float"),
+    pytest.param(lambda state, tol: cut_rank(state, [0], tol), True, id="cut_rank-exact"),
+    pytest.param(lambda state, tol: compress_party(state, 0, tol), False, id="compress_party-float"),
+    pytest.param(lambda state, tol: compress_party(state, 0, tol), True, id="compress_party-exact"),
+    pytest.param(separability_pattern, False, id="separability_pattern"),
+    pytest.param(lambda state, tol: node_test_3qubit(state, 0, tol), False, id="node_test_3qubit"),
+    pytest.param(cusp_test_3qubit, False, id="cusp_test_3qubit"),
+    pytest.param(lambda state, tol: node_test_322(to_float(class_catalog(FORMAT322)["W"]), tol), False,
+                 id="node_test_322"),
+    pytest.param(section_flags, False, id="section_flags"),
+    pytest.param(lambda state, tol: states_proportional(state, state, tol), False, id="states_proportional"),
+    pytest.param(lambda state, tol: ensemble([(0.5, state), (0.5, state)], tol), False, id="ensemble"),
+])
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
-def test_library_tolerance_rule(w_state, entry, tol):
+def test_library_tolerance_rule(w_state, entry, exact, tol):
     with pytest.raises(DocumentInvalid):
-        entry(to_float(w_state), tol)
+        entry(w_state if exact else to_float(w_state), tol)
 
 
 def test_core_is_compressed_at_the_decided_party0_rank(spectrum_state, second_svd_routine):
@@ -404,7 +419,7 @@ def test_format322_core_reuses_the_decided_rank(monkeypatch, rng):
 @pytest.mark.parametrize("ranks, name", [((1, 1, 2), "B1"), ((2, 1, 1), "B2"), ((1, 1, 1), "S")])
 def test_format322_rank_one_party_names_the_class(monkeypatch, ranks, name):
     # ranks no exact state has, as float ranks inside the zero band can read
-    monkeypatch.setattr(_Decisions, "local_ranks", lambda self, state: ranks)
+    monkeypatch.setattr(Decisions, "local_ranks", lambda self, state: ranks)
     label = classify(to_float(class_catalog(FORMAT322)["GHZ"]))
     assert label.name == name
     assert ("embedded_det" in label.diagnostics) is (ranks[0] == 2)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -471,3 +472,57 @@ def test_selftest_json_report(monkeypatch):
     result = _run(["selftest"])
     assert result.exit_code == 1
     assert result.output.splitlines() == ["FAIL  broken (0.50 s): forced", "0/1 criteria passed (quick level)"]
+
+
+def _exact_doc(fmt, amplitudes):
+    return json.dumps({"format": list(fmt), "mode": "exact", "amplitudes": [[f"{a}/1", "0/1"] for a in amplitudes]})
+
+
+def test_oracle_scales_exact_documents_past_the_float_range():
+    # 2**1100 W overflows a float; a power-of-two rescale is exact, so the report does not change
+    w = [0, 1, 1, 0, 1, 0, 0, 0]
+    args = ["oracle", "--seed", "3", "--restarts", "4"]
+    small = _run(args, stdin=_exact_doc((2, 2, 2), w))
+    large = _run(args, stdin=_exact_doc((2, 2, 2), [a * 2 ** 1100 for a in w]))
+    assert (small.exit_code, large.exit_code) == (0, 0), large.output
+    assert large.output == small.output
+
+
+def test_exact_results_past_the_int_str_limit_print():
+    # 200-digit amplitudes give a degree-24 hyperdeterminant of about 4,800 digits
+    rng = random.Random(7)
+    amplitudes = [rng.randrange(10 ** 199, 10 ** 200) for _ in range(16)]
+    limit = sys.get_int_max_str_digits()
+    for cmd in ("classify", "hyperdet"):
+        result = _run([cmd], stdin=_exact_doc((2, 2, 2, 2), amplitudes))
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert len(payload["diagnostics"]["det"] if cmd == "classify" else payload["value"]) > limit
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_oversized_literals_exit_2():
+    # an exact literal past the int-str digit limit is named by the limit, not echoed
+    result = _run(["classify"], stdin=_exact_doc((2, 2), ["1" + "0" * 5000, 0, 0, 1]))
+    assert result.exit_code == 2
+    payload = json.loads(result.output)
+    assert payload["error"] == "DocumentInvalid"
+    assert str(sys.int_info.default_max_str_digits) in payload["message"] and len(payload["message"]) < 200
+    # float JSON integers past the float range, and past the JSON parser's digit limit
+    for digits in (400, 5000):
+        doc = '{"format": [2, 2], "mode": "float", "amplitudes": [[1%s, 0], [0, 0], [0, 0], [1, 0]]}' % ("0" * digits)
+        result = _run(["classify"], stdin=doc)
+        assert result.exit_code == 2, (digits, result.output)
+        assert json.loads(result.output)["error"] == "DocumentInvalid"
+
+
+def test_invariants_and_classify_agree_on_in_band_ranks(spectrum_state, second_svd_routine):
+    # party 2's ratio 3e-9 lies in the band; a second ranking of its tall transpose would read 3e-10 < tol
+    state = spectrum_state((2, 2, 2), 2, (1, 3e-9))
+    second_svd_routine(lambda rows: len(rows) > len(rows[0]))
+    doc = json.dumps(state_document(state))
+    classified = json.loads(_run(["classify"], stdin=doc).output)
+    invariants = json.loads(_run(["invariants"], stdin=doc).output)
+    assert classified["local_ranks"] == invariants["local_ranks"] == [2, 2, 2]
+    assert invariants["separability"] == [[0, 1, 2]]
+    assert classified["diagnostics"]["boundary_warning"] is True

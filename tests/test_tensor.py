@@ -35,7 +35,6 @@ from onionclass.scalars import GaussianRational as GR, QuadExt
 from onionclass.selftest import rand_invertible, rand_singular
 from onionclass.oracle import random_rational_state
 from onionclass.classify import RANKS_BY_NAME, class_catalog, classify
-from onionclass.linalg import float_rank
 from onionclass.tensor import bipartitions, compress_party, mode_product
 
 
@@ -137,8 +136,7 @@ def test_rank_invariance_float_mode(rng):
 
 
 def test_exact_and_float_ranks_agree(rng):
-    # one float rank rule behind cut_rank, classify's local ranks and compress_party
-    assert float_rank(np.zeros(3), 1e-9) == 0
+    # one float rank rule, Decisions.rank, behind cut_rank, classify's local ranks and compress_party
     formats = {
         (2, 2, 2): [(0,), (1,), (2,)],
         (3, 2, 2): [(0,), (1,), (2,), (0, 1), (0, 2)],
