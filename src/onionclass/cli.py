@@ -42,8 +42,11 @@ def _read_document(input_path):
         return json.load(sys.stdin)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentInvalid(f"unreadable input: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or a JSON integer past Python's int-to-str digit limit
+    except json.JSONDecodeError as exc:
         raise DocumentInvalid(f"bad JSON: {exc}") from exc
+    except ValueError as exc:  # the only other ValueError json raises: an integer past the digit limit
+        raise DocumentInvalid(
+            f"bad JSON: integers are limited to {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _emit(data: dict, output: str):

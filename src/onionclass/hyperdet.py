@@ -1,11 +1,19 @@
 """Hyperdeterminant evaluation for the supported formats.
 
-Explicit polynomials cover the 2x2, 2x2x2, and 3x2x2 formats; the 2x2x2x2
-value is produced by the Schlafli lift, the discriminant of the binary
-quartic det3(x0 A0 + x1 A1) of the party-0 slice pencil, taken as the
-resultant of the quartic's two partial derivatives.  Calibration constants
-pin the lift to the explicit ground-truth formulas, removing any sign or
-scale ambiguity.
+Explicit polynomials cover the 2x2, 2x2x2, and 3x2x2 formats.  The 2x2x2x2
+value is the discriminant of the binary quartic det3(x0 A0 + x1 A1) of the
+party-0 slice pencil.  Exact states take it in closed form from the
+quartic's invariants, (4 I^3 - J^2) / 6912.  Float states take the
+calibrated Schlafli lift, the resultant of the quartic's two partial
+derivatives, because the closed form cancels in floating point; the
+calibration constants pin the lift to the explicit ground-truth formulas,
+removing any sign or scale ambiguity.
+
+On Gaussian-rational amplitudes, det3, det322, binary_form_coeffs and
+det4 evaluate their polynomials on the integer numerators over one
+denominator (scalars.numerators) and reduce each result once.  Float and
+extension-field amplitudes take the same polynomials with their own
+operators.
 """
 
 from __future__ import annotations
@@ -16,7 +24,17 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import UnsupportedFormat, WrongFormat
-from .scalars import EXACT, GaussianRational, as_exact, as_float, is_exact
+from .scalars import (
+    EXACT,
+    GaussianRational,
+    as_exact,
+    as_float,
+    gauss_dot,
+    gauss_mul,
+    is_exact,
+    numerators,
+    reduced,
+)
 from .tensor import ProductVector, StateTensor, mode_product, new_state
 
 #: Degree of homogeneity of the hyperdeterminant per supported format.
@@ -48,6 +66,9 @@ def det2(state: StateTensor):
 def det3(state: StateTensor):
     """Cayley's 2x2x2 hyperdeterminant, the explicit degree-4 polynomial."""
     _require_format(state, (2, 2, 2))
+    num = numerators(state.amplitudes)
+    if num is not None:
+        return reduced(*_cayley(num[0]), num[1] ** 4)
     a = state.amplitudes
     quads = a[0] * a[0] * a[7] * a[7] + a[1] * a[1] * a[6] * a[6] \
         + a[2] * a[2] * a[5] * a[5] + a[4] * a[4] * a[3] * a[3]
@@ -56,6 +77,21 @@ def det3(state: StateTensor):
         + a[1] * a[4] * a[3] * a[6] + a[2] * a[4] * a[3] * a[5]
     diag = a[0] * a[3] * a[5] * a[6] + a[1] * a[2] * a[4] * a[7]
     return quads - 2 * cross + 4 * diag
+
+
+def _cayley(a):
+    """det3 on Gaussian-integer pairs: the same quads, cross and diag monomials, over shared products."""
+    p = [gauss_mul(a[i], a[7 - i]) for i in range(4)]  # a0 a7, a1 a6, a2 a5, a3 a4
+    quads = gauss_dot(p, p)
+    cross = gauss_dot(*zip(*itertools.combinations(p, 2)))
+    diag = gauss_dot((gauss_mul(a[0], a[3]), gauss_mul(a[1], a[2])), (gauss_mul(a[5], a[6]), gauss_mul(a[4], a[7])))
+    return tuple(q - 2 * c + 4 * g for q, c, g in zip(quads, cross, diag))
+
+
+def _pdet(p, q, r, s):
+    """p s - q r on Gaussian-integer pairs."""
+    return (p[0] * s[0] - p[1] * s[1] - q[0] * r[0] + q[1] * r[1],
+            p[0] * s[1] + p[1] * s[0] - q[0] * r[1] - q[1] * r[0])
 
 
 def _minor3(rows, drop_col: int):
@@ -77,6 +113,10 @@ def det322(state: StateTensor):
     The m_j are the 3x3 minors of the party-0 flattening with column j
     removed.
     """
+    _require_format(state, (3, 2, 2))
+    num = numerators(state.amplitudes)
+    if num is not None:
+        return reduced(*_pdet(*_minor_pairs(num[0])), num[1] ** 6)
     m1, m2, m3, m4 = minors322(state)
     return m1 * m4 - m2 * m3
 
@@ -87,6 +127,19 @@ def minors322(state: StateTensor):
     a = state.amplitudes
     rows = [[a[4 * r + c] for c in range(4)] for r in range(3)]
     return tuple(_minor3(rows, j) for j in range(4))
+
+
+def _minor_pairs(a):
+    """minors322 on Gaussian-integer pairs, each minor expanded along row 0."""
+    r0, r1, r2 = a[0:4], a[4:8], a[8:12]
+    d = {(j, k): _pdet(r1[j], r1[k], r2[j], r2[k]) for j, k in itertools.combinations(range(4), 2)}
+    minors = []
+    # the m-th minor keeps the three columns other than m
+    for j, k, l in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+        x, y = gauss_dot((r0[j], r0[l]), (d[k, l], d[j, k]))
+        u, v = gauss_mul(r0[k], d[j, l])
+        minors.append((x - u, y - v))
+    return minors
 
 
 def concurrence(state: StateTensor):
@@ -150,19 +203,58 @@ def binary_form_coeffs(state: StateTensor) -> BinaryFormCoefficients:
     p0 = det(M0 + t N0), p2 = det(M1 + t N1) and p1 their mixed term, all
     quadratics in t.
     """
+    if state.format not in ((2, 2, 2), (2, 2, 2, 2)):
+        raise WrongFormat(f"no slice pencil for format {state.format}; expected 2x2x2 or 2x2x2x2")
+    num = numerators(state.amplitudes)
+    if num is not None:
+        coeffs = _pencil_pairs(num[0])
+        degree = len(coeffs) - 1  # each c_j has the degree in the amplitudes that the pencil has in t
+        return BinaryFormCoefficients(degree, tuple(reduced(x, y, num[1] ** degree) for x, y in coeffs))
     a = state.amplitudes
     if state.format == (2, 2, 2):
         m, n = a[0:4], a[4:8]
         coeffs = (_det(m), _polar(m, n), _det(n))
-    elif state.format == (2, 2, 2, 2):
+    else:
         m0, m1, n0, n1 = a[0:4], a[4:8], a[8:12], a[12:16]
         p0 = (_det(m0), _polar(m0, n0), _det(n0))
         p1 = (_polar(m0, m1), _polar(m0, n1) + _polar(n0, m1), _polar(n0, n1))
         p2 = (_det(m1), _polar(m1, n1), _det(n1))
         coeffs = tuple(u - 4 * v for u, v in zip(_poly_mul(p1, p1), _poly_mul(p0, p2)))
-    else:
-        raise WrongFormat(f"no slice pencil for format {state.format}; expected 2x2x2 or 2x2x2x2")
     return BinaryFormCoefficients(len(coeffs) - 1, coeffs)
+
+
+def _ppolar(m, n):
+    """_polar on Gaussian-integer pairs."""
+    (x, y), (u, v) = _pdet(m[0], m[1], n[2], n[3]), _pdet(n[0], n[1], m[2], m[3])
+    return x + u, y + v
+
+
+def _pencil_pairs(a):
+    """binary_form_coeffs' c_0..c_l on the Gaussian-integer pairs of a 2x2x2 or 2x2x2x2 state."""
+    if len(a) == 8:
+        m, n = a[0:4], a[4:8]
+        return [_pdet(*m), _ppolar(m, n), _pdet(*n)]
+    m0, m1, n0, n1 = a[0:4], a[4:8], a[8:12], a[12:16]
+    p0 = (_pdet(*m0), _ppolar(m0, n0), _pdet(*n0))
+    (x, y), (u, v) = _ppolar(m0, n1), _ppolar(n0, m1)
+    p1 = (_ppolar(m0, m1), (x + u, y + v), _ppolar(n0, n1))
+    p2 = (_pdet(*m1), _ppolar(m1, n1), _pdet(*n1))
+    return [(x - 4 * u, y - 4 * v) for (x, y), (u, v) in zip(_ppoly_mul(p1, p1), _ppoly_mul(p0, p2))]
+
+
+def _ppoly_mul(p, q):
+    """_poly_mul on Gaussian-integer pair coefficients."""
+    out = [(0, 0)] * (len(p) + len(q) - 1)
+    for i, (a, b) in enumerate(p):
+        for j, (c, d) in enumerate(q):
+            x, y = out[i + j]
+            out[i + j] = (x + a * c - b * d, y + a * d + b * c)
+    return out
+
+
+def _scaled(k: int, p):
+    """The integer k times the Gaussian-integer pair p."""
+    return k * p[0], k * p[1]
 
 
 @dataclass(frozen=True)
@@ -248,10 +340,31 @@ def generic4_product(alpha, beta, gamma, delta, field_tag: str = EXACT):
 
 
 def det4(state: StateTensor):
-    """Four-qubit hyperdeterminant of degree 24 via the Schlafli lift."""
+    """Four-qubit hyperdeterminant of degree 24.
+
+    Gaussian-rational states take the closed form (4 I^3 - J^2) / 6912 of
+    the pencil quartic's invariants; float and extension-field states take
+    the Schlafli lift calibrated by K4.
+    """
     _require_format(state, (2, 2, 2, 2))
+    num = numerators(state.amplitudes)
+    if num is not None:
+        return reduced(*_quartic_discriminant(_pencil_pairs(num[0])), 6912 * num[1] ** 24)
     calibration = K4 if state.field_tag == EXACT else complex(K4)
     return schlafli_lift(binary_form_coeffs(state), calibration).value
+
+
+def _quartic_discriminant(c):
+    """4 I^3 - J^2 of the quartic sum c_j x0^(4-j) x1^j, on Gaussian-integer pairs.
+
+    I = 12 c0 c4 - 3 c1 c3 + c2^2 and
+    J = 72 c0 c2 c4 + 9 c1 c2 c3 - 27 c0 c3^2 - 27 c1^2 c4 - 2 c2^3.
+    """
+    c0, c1, c2, c3, c4 = c
+    i = gauss_dot((c0, c1, c2), (_scaled(12, c4), _scaled(-3, c3), c2))
+    j = gauss_dot((gauss_mul(c0, c2), gauss_mul(c1, c2), gauss_mul(c0, c3), gauss_mul(c1, c1), gauss_mul(c2, c2)),
+                  (_scaled(72, c4), _scaled(9, c3), _scaled(-27, c3), _scaled(-27, c4), _scaled(-2, c2)))
+    return gauss_dot((gauss_mul(i, i), j), (_scaled(4, i), _scaled(-1, j)))
 
 
 @dataclass(frozen=True)

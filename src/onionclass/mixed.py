@@ -9,6 +9,7 @@ with the same density matrix can legitimately get different answers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,13 +69,14 @@ def ensemble(members, tol: float = DEFAULT_TOL) -> Ensemble:
     fmt = packed[0][1].format
     if any(state.format != fmt for _, state in packed):
         raise SizeMismatch("ensemble members must share one format")
-    total = sum(w for w, _ in packed)
-    exact_weights = all(isinstance(w, Fraction) for w, _ in packed)
-    if exact_weights:
+    # Fraction(float) is exact, so the sum neither rounds nor overflows, and comparing it with tol stays exact
+    total = sum(Fraction(w) for w, _ in packed)
+    if all(isinstance(w, Fraction) for w, _ in packed):
         if total != 1:
             raise SizeMismatch(f"weights must sum to 1 exactly, got {total}")
-    elif abs(float(total) - 1.0) > tol:
-        raise SizeMismatch(f"weights must sum to 1, got {total}")
+    elif abs(total - 1) > tol:
+        shown = float(total) if total <= sys.float_info.max else "more than the largest float"
+        raise SizeMismatch(f"weights must sum to 1, got {shown}")
     return Ensemble(tuple(packed))
 
 

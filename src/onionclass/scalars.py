@@ -216,6 +216,21 @@ def numerators(values):
     return [(v._x * (k := d // v._d), v._y * k) for v in values], d
 
 
+def gauss_mul(u, v):
+    """The product of two Gaussian integers given as (re, im) pairs."""
+    (a, b), (c, d) = u, v
+    return a * c - b * d, a * d + b * c
+
+
+def gauss_dot(us, vs):
+    """sum u*v over the paired Gaussian integers (re, im) of `us` and `vs`, as one pair."""
+    x = y = 0
+    for (a, b), (c, d) in zip(us, vs):
+        x += a * c - b * d
+        y += a * d + b * c
+    return x, y
+
+
 def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +33,7 @@ from .scalars import (
     GaussianRational,
     as_exact,
     as_float,
+    gauss_dot,
     is_exact,
     numerators,
     reduced,
@@ -332,37 +334,56 @@ def local_operators(matrices: Sequence) -> LocalOperatorTuple:
 def mode_product(amps: tuple, fmt: tuple[int, ...], party: int, matrix) -> tuple:
     """Contract one party: b[.., i, ..] = sum_j matrix[i][j] a[.., j, ..].
 
-    Amplitudes are row-major, so the party's axis has stride
-    prod(fmt[party+1:]); its dimension becomes the number of rows of
-    `matrix`.  When amplitudes and matrix are all Gaussian rationals, each
-    output is a sum of Gaussian-integer numerator products, reduced once.
+    The party's dimension becomes the number of rows of `matrix`; see _contract.
+    """
+    return _contract(amps, fmt, [(party, matrix)])
+
+
+def _contract(amps: tuple, fmt: tuple[int, ...], factors) -> tuple:
+    """Contract each (party, matrix) of `factors` in turn, as mode_product does.
+
+    When the amplitudes and every matrix are Gaussian rationals, the sums run
+    on Gaussian-integer numerators over one denominator, and each output is
+    reduced once, after the last party.  Other scalars take the same sums
+    with their own operators.
+    """
+    num = numerators(amps)
+    mats = num and [numerators([x for row in m for x in row]) for _, m in factors]
+    if not (mats and all(mats)):
+        for party, matrix in factors:
+            amps, fmt = _mode_sums(amps, fmt, party, matrix, _dot)
+        return amps
+    amps, d = num
+    for (party, _), (m, dm) in zip(factors, mats):
+        dim = fmt[party]
+        amps, fmt = _mode_sums(amps, fmt, party, [m[i:i + dim] for i in range(0, len(m), dim)], gauss_dot)
+        d *= dm
+    return tuple(reduced(x, y, d) for x, y in amps)
+
+
+def _mode_sums(amps: tuple, fmt: tuple[int, ...], party: int, matrix, dot) -> tuple:
+    """One party's contraction, `dot` summing a matrix row against the party's axis; returns (amps, format).
+
+    Amplitudes are row-major, so the party's axis has stride prod(fmt[party+1:]).
     """
     stride = math.prod(fmt[party + 1:])
-    dim = fmt[party]
-    num = numerators(amps)
-    mat = num and numerators([x for row in matrix for x in row])
-    if mat:
-        (a, da), (m, dm) = num, mat
-        matrix = [m[i:i + dim] for i in range(0, len(m), dim)]
+    step = fmt[party] * stride
+    out = tuple(dot(row, amps[r:r + step:stride]) for block in range(0, len(amps), step)
+                for row in matrix for r in range(block, block + stride))
+    return out, fmt[:party] + (len(matrix),) + fmt[party + 1:]
 
-        def entry(row, r):
-            x = y = 0
-            for (u, v), (p, q) in zip(row, a[r:r + dim * stride:stride]):
-                x += u * p - v * q
-                y += u * q + v * p
-            return reduced(x, y, da * dm)
-    else:
-        def entry(row, r):
-            return sum((row[j] * amps[r + j * stride] for j in range(1, dim)), row[0] * amps[r])
-    return tuple(entry(row, r) for block in range(0, len(amps), dim * stride)
-                 for row in matrix for r in range(block, block + stride))
+
+def _dot(row, column):
+    """sum row[j] * column[j], added left to right onto row[0] * column[0]."""
+    return sum(map(operator.mul, row[1:], column[1:]), row[0] * column[0])
 
 
 def apply_local(state: StateTensor, ops: LocalOperatorTuple) -> StateTensor:
     """Act with one operator per party: a'_i = sum_j g1[i1,j1]...gn[in,jn] a_j.
 
-    A float state or float operators make the result float.  The result is
-    built by new_state, so float amplitudes that overflow raise
+    A float state or float operators make the result float.  Gaussian-rational
+    inputs contract every party on integer numerators and reduce each
+    amplitude once (_contract).  The result is built by new_state, so float amplitudes that overflow raise
     DocumentInvalid.  Raises ZeroState when a singular operator annihilates
     the state: exactly in exact mode, and in float mode when every
     amplitude is zero against the state's scale times each operator's
@@ -379,9 +400,7 @@ def apply_local(state: StateTensor, ops: LocalOperatorTuple) -> StateTensor:
     if state.field_tag == FLOAT or not is_exact(matrices[0][0][0]):
         state = to_float(state)
         matrices = [[[as_float(x) for x in row] for row in mat] for mat in matrices]
-    out = state.amplitudes
-    for p, mat in enumerate(matrices):
-        out = mode_product(out, state.format, p, mat)
+    out = _contract(state.amplitudes, state.format, list(enumerate(matrices)))
     pushed = new_state(state.format, out, state.field_tag)
     if pushed.field_tag == FLOAT:
         scale = state.scale() * math.prod(max(abs(x) for r in mat for x in r) or 1.0 for mat in matrices)

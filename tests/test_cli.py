@@ -259,6 +259,18 @@ def test_mixed_command():
     assert payload["bound_kind"] == "upper-bound"
 
 
+def test_mixed_weight_sum_past_the_float_range():
+    # an exact weight of 10**400 beside a float weight is summed exactly, with no float overflow
+    state = json.loads(_ghz_doc())
+    doc = '{"members": [{"weight": 1%s, "state": %s}, {"weight": 0.5, "state": %s}]}' % (
+        "0" * 400, json.dumps(state), json.dumps(state))
+    result = _run(["mixed"], stdin=doc)
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)
+    assert payload["error"] == "SizeMismatch"
+    assert payload["message"].startswith("weights must sum to 1")
+
+
 def test_text_and_json_agree():
     as_json = json.loads(_run(["classify"], stdin=_ghz_doc()).output)
     as_text = _run(["classify", "--output", "text"], stdin=_ghz_doc()).output
@@ -513,7 +525,10 @@ def test_oversized_literals_exit_2():
         doc = '{"format": [2, 2], "mode": "float", "amplitudes": [[1%s, 0], [0, 0], [0, 0], [1, 0]]}' % ("0" * digits)
         result = _run(["classify"], stdin=doc)
         assert result.exit_code == 2, (digits, result.output)
-        assert json.loads(result.output)["error"] == "DocumentInvalid"
+        payload = json.loads(result.output)
+        assert payload["error"] == "DocumentInvalid"
+        # the parser's own advice names a Python call that a CLI user cannot make
+        assert "set_int_max_str_digits" not in payload["message"]
 
 
 def test_invariants_and_classify_agree_on_in_band_ranks(spectrum_state, second_svd_routine):

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onionclass import (
     SizeMismatch,
@@ -21,6 +23,7 @@ from onionclass import (
     generic4_state,
     hyperdet,
     local_operators,
+    new_state,
     pairing,
     product_vector,
     schlafli_lift,
@@ -29,7 +32,7 @@ from onionclass import (
 )
 from onionclass.hyperdet import DEGREES, K3, K4, minors322
 from onionclass.oracle import identity_check, random_rational_state
-from onionclass.scalars import GaussianRational as GR
+from onionclass.scalars import GaussianRational as GR, QuadExt, as_exact
 from onionclass.selftest import rand_invertible
 
 
@@ -231,3 +234,95 @@ def test_det4_float_pushed_generic_states(rng):
             (2, 2, 2, 2), [GR(Fraction(a.real), Fraction(a.imag)) for a in pushed.amplitudes]
         )
         assert det4(pushed) == pytest.approx(complex(det4(shadow)), rel=1e-6)
+
+
+# --- the integer polynomials against the generic path and the Schlafli lift ---
+
+_props = settings(derandomize=True, max_examples=100, deadline=None)
+_gaussians = st.builds(lambda a, b, c, e: GR(Fraction(a, c), Fraction(b, e)),
+                       st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 6), st.integers(1, 6))
+
+
+def _amplitudes(n):
+    return st.lists(_gaussians, min_size=n, max_size=n).filter(any)
+
+
+def _product(vectors):
+    """Row-major amplitudes of the product of one vector per party."""
+    amps = [GR(1)]
+    for v in vectors:
+        amps = [x * y for x in amps for y in v]
+    return amps
+
+
+def _generic(state):
+    """The same state over QuadExt scalars with a zero extension part, so the scalar loops evaluate it."""
+    return new_state(state.format, [QuadExt(a, 0, GR(2)) for a in state.amplitudes])
+
+
+def _polynomial_values(state):
+    """det3 and the pencil, det322, or the quartic pencil, by format."""
+    if state.format == (3, 2, 2):
+        return (det322(state),)
+    return ((det3(state),) if state.format == (2, 2, 2) else ()) + binary_form_coeffs(state).coeffs
+
+
+@_props
+@given(st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]).flatmap(
+    lambda fmt: _amplitudes(math.prod(fmt)).map(lambda amps: exact_state(fmt, amps))))
+def test_integer_polynomials_match_the_generic_path(state):
+    for fast, slow in zip(_polynomial_values(state), _polynomial_values(_generic(state)), strict=True):
+        assert type(fast) is GR and fast == as_exact(slow)
+
+
+@st.composite
+def _quartic_states(draw):
+    """(kind, state, family coefficients): random, product, a product first slice, or the generic family.
+
+    A product state has an identically zero pencil, and a product party-0 slice
+    A0 a zero leading coefficient c0 = det3(A0).
+    """
+    kind = draw(st.sampled_from(["random", "product", "leading-zero", "generic4"]))
+    if kind == "generic4":
+        abgd = draw(_amplitudes(4))
+        return kind, generic4_state(*abgd), abgd
+    if kind == "product":
+        return kind, exact_state((2, 2, 2, 2), _product([draw(_amplitudes(2)) for _ in range(4)])), None
+    amps = draw(_amplitudes(16))
+    if kind == "leading-zero":
+        amps[:8] = _product([draw(_amplitudes(2)) for _ in range(3)])
+    return kind, exact_state((2, 2, 2, 2), amps), None
+
+
+@_props
+@given(_quartic_states())
+def test_closed_form_det4_matches_the_lift(case):
+    kind, state, abgd = case
+    coeffs = binary_form_coeffs(state)
+    value = det4(state)
+    assert type(value) is GR and value == schlafli_lift(coeffs, K4).value
+    if kind == "product":
+        assert not any(coeffs.coeffs) and not value
+    if kind == "leading-zero":
+        assert not coeffs.coeffs[0]
+    if kind == "generic4":
+        assert value == generic4_product(*abgd)
+
+
+def test_exact_invariants_and_pushes_take_no_gaussian_rational_operations(monkeypatch):
+    # the integer kernels never call GaussianRational's + or *; a silent fall back to the scalar loops would
+    rng = np.random.default_rng(5)
+    quartic = exact_state((2, 2, 2, 2), [GR(Fraction(k, 3), Fraction(-1, k)) for k in range(1, 17)])
+    ops = local_operators([rand_invertible(rng, 2) for _ in range(4)])
+    smaller = [exact_state(fmt, quartic.amplitudes[:math.prod(fmt)]) for fmt in [(2, 2, 2), (3, 2, 2)]]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        original = vars(GR)[name]
+        monkeypatch.setattr(GR, name, lambda self, other, _f=original, _n=name: calls.append(_n) or _f(self, other))
+    pushed = apply_local(quartic, ops)
+    hyperdet(pushed)
+    for state in smaller:
+        hyperdet(state)
+    binary_form_coeffs(smaller[0])
+    assert calls == []
+    assert GR(1) * GR(2) + GR(3) == GR(5) and calls == ["__mul__", "__add__"]

@@ -438,3 +438,45 @@ def test_mode_product_over_the_extension_field():
             out = mode_product(a, fmt, party, m)
             assert any(isinstance(x, QuadExt) for x in out)
             assert out == _direct_mode_product(a, fmt, party, m)
+
+
+# --- the one-pass apply_local against the chain of mode products ---------------
+
+
+@st.composite
+def _pushes(draw):
+    """A state and one square operator per party.
+
+    A drawn flag cuts one party's support to its first basis vector and zeroes
+    the first column of that party's operator, which then annihilates the state.
+    """
+    fmt = draw(st.sampled_from([(2, 2), (3, 3), (2, 3), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]))
+    amps = draw(st.lists(_gaussians, min_size=math.prod(fmt), max_size=math.prod(fmt)))
+    mats = [[draw(st.lists(_gaussians, min_size=d, max_size=d)) for _ in range(d)] for d in fmt]
+    if draw(st.booleans()):
+        party = draw(st.integers(0, len(fmt) - 1))
+        # row-major, as itertools.product orders the multi-indices
+        for offset, index in enumerate(itertools.product(*map(range, fmt))):
+            if index[party]:
+                amps[offset] = GR(0)
+        for row in mats[party]:
+            row[0] = GR(0)
+    amps[0] = amps[0] or GR(1)
+    return exact_state(fmt, amps), mats
+
+
+@_props
+@given(_pushes())
+def test_apply_local_matches_the_mode_product_chain(case):
+    state, mats = case
+    chain = state.amplitudes
+    for party, matrix in enumerate(mats):
+        chain = mode_product(chain, state.format, party, matrix)
+    ops = local_operators(mats)
+    if not any(chain):
+        with pytest.raises(ZeroState):
+            apply_local(state, ops)
+        return
+    pushed = apply_local(state, ops)
+    assert all(type(x) is GR for x in pushed.amplitudes)
+    assert pushed.amplitudes == chain
