@@ -216,7 +216,7 @@ def canonicalize_report(state, tol):
     click.option("--seed", default=None, envvar="ONION_SEED", type=int, callback=_drawn_seed,
                  help="Search seed; derived and reported when omitted."),
     click.option("--tol", default=1e-8, envvar="ONION_ORACLE_TOL", type=float, callback=_checked_tol,
-                 help="Residual acceptance tolerance."),
+                 help="Bound on the pairing gradient's norm: FOUND when the residual, its square, is at most tol**2."),
 )
 def oracle_report(state, restarts, seed, tol):
     """Search for a critical point witnessing a zero hyperdeterminant."""

@@ -2,23 +2,15 @@
 
 Explicit polynomials cover the 2x2, 2x2x2, and 3x2x2 formats.  The 2x2x2x2
 value is the discriminant of the binary quartic det3(x0 A0 + x1 A1) of the
-party-0 slice pencil.  Exact states take it in closed form from the
-quartic's invariants, (4 I^3 - J^2) / 6912.  Float states take the
-calibrated Schlafli lift, the resultant of the quartic's two partial
-derivatives, because the closed form cancels in floating point; the
-calibration constants pin the lift to the explicit ground-truth formulas,
-removing any sign or scale ambiguity.
-
-On Gaussian-rational amplitudes, det3, det322, binary_form_coeffs and
-det4 evaluate their polynomials on the integer numerators over one
-denominator (scalars.numerators) and reduce each result once.  Float and
-extension-field amplitudes take the same polynomials with their own
-operators.
+party-0 slice pencil, (4 I^3 - J^2) / 6912 in the quartic's invariants.
+Each polynomial has one body, on the (re, im) pairs that _pairs gives every
+field; the calibrated Schlafli lift stays as an exact reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +18,11 @@ from . import linalg
 from .errors import UnsupportedFormat, WrongFormat
 from .scalars import (
     EXACT,
+    FLOAT,
     GaussianRational,
     as_exact,
     as_float,
+    dyadic_numerators,
     gauss_dot,
     gauss_mul,
     is_exact,
@@ -44,6 +38,35 @@ DEGREES = {(2, 2): 2, (2, 2, 2): 4, (3, 2, 2): 6, (2, 2, 2, 2): 24}
 def _require_format(state: StateTensor, fmt: tuple[int, ...]):
     if state.format != fmt:
         raise WrongFormat(f"expected format {fmt}, got {state.format}")
+
+
+def _pairs(values, dyadic: bool = False):
+    """(pairs, back) for `values` of one field; back(p, degree, k) is p / k in it, p a degree-`degree` result.
+
+    Gaussian rationals give integer numerators over one denominator d, and
+    so do finite floats when `dyadic` (exactly: d is a power of two); back
+    divides by k d**degree once.  Other floats give (re, im), and values q
+    of the extension field give (q, 0), whose results hold their value in p[0].
+    """
+    num = numerators(values)
+    if num is not None:
+        pairs, d = num
+        return pairs, lambda p, degree, k=1: reduced(p[0], p[1], k * d ** degree)
+    if is_exact(values[0]):
+        return [(q, 0) for q in values], lambda p, degree, k=1: p[0] / k
+    num = dyadic and dyadic_numerators(values)
+    if num:
+        pairs, d = num
+        return pairs, lambda p, degree, k=1: complex(*(_quotient(x, k * d ** degree) for x in p))
+    return [(z.real, z.imag) for z in values], lambda p, degree, k=1: complex(p[0] / k, p[1] / k)
+
+
+def _quotient(n: int, d: int) -> float:
+    """n / d for d > 0, rounded once, or an infinity past the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def pairing(state: StateTensor, x: ProductVector):
@@ -66,21 +89,12 @@ def det2(state: StateTensor):
 def det3(state: StateTensor):
     """Cayley's 2x2x2 hyperdeterminant, the explicit degree-4 polynomial."""
     _require_format(state, (2, 2, 2))
-    num = numerators(state.amplitudes)
-    if num is not None:
-        return reduced(*_cayley(num[0]), num[1] ** 4)
-    a = state.amplitudes
-    quads = a[0] * a[0] * a[7] * a[7] + a[1] * a[1] * a[6] * a[6] \
-        + a[2] * a[2] * a[5] * a[5] + a[4] * a[4] * a[3] * a[3]
-    cross = a[0] * a[1] * a[6] * a[7] + a[0] * a[2] * a[5] * a[7] \
-        + a[0] * a[4] * a[3] * a[7] + a[1] * a[2] * a[5] * a[6] \
-        + a[1] * a[4] * a[3] * a[6] + a[2] * a[4] * a[3] * a[5]
-    diag = a[0] * a[3] * a[5] * a[6] + a[1] * a[2] * a[4] * a[7]
-    return quads - 2 * cross + 4 * diag
+    pairs, back = _pairs(state.amplitudes)
+    return back(_cayley(pairs), 4)
 
 
 def _cayley(a):
-    """det3 on Gaussian-integer pairs: the same quads, cross and diag monomials, over shared products."""
+    """det3 on pairs: Cayley's quads - 2 cross + 4 diag monomials, over shared products."""
     p = [gauss_mul(a[i], a[7 - i]) for i in range(4)]  # a0 a7, a1 a6, a2 a5, a3 a4
     quads = gauss_dot(p, p)
     cross = gauss_dot(*zip(*itertools.combinations(p, 2)))
@@ -89,48 +103,27 @@ def _cayley(a):
 
 
 def _pdet(p, q, r, s):
-    """p s - q r on Gaussian-integer pairs."""
+    """p s - q r on pairs."""
     return (p[0] * s[0] - p[1] * s[1] - q[0] * r[0] + q[1] * r[1],
             p[0] * s[1] + p[1] * s[0] - q[0] * r[1] - q[1] * r[0])
 
 
-def _minor3(rows, drop_col: int):
-    keep = [c for c in range(4) if c != drop_col]
-    return _det3x3([[rows[r][c] for c in keep] for r in range(3)])
-
-
-def _det3x3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def det322(state: StateTensor):
-    """Boundary-format 3x2x2 hyperdeterminant m1 m4 - m2 m3 (degree 6).
-
-    The m_j are the 3x3 minors of the party-0 flattening with column j
-    removed.
-    """
+    """Boundary-format 3x2x2 hyperdeterminant m1 m4 - m2 m3 (degree 6) of the minors322."""
     _require_format(state, (3, 2, 2))
-    num = numerators(state.amplitudes)
-    if num is not None:
-        return reduced(*_pdet(*_minor_pairs(num[0])), num[1] ** 6)
-    m1, m2, m3, m4 = minors322(state)
-    return m1 * m4 - m2 * m3
+    pairs, back = _pairs(state.amplitudes)
+    return back(_pdet(*_minor_pairs(pairs)), 6)
 
 
 def minors322(state: StateTensor):
-    """The four 3x3 minors entering the 3x2x2 hyperdeterminant."""
+    """The four 3x3 minors m_j of the party-0 flattening, column j removed."""
     _require_format(state, (3, 2, 2))
-    a = state.amplitudes
-    rows = [[a[4 * r + c] for c in range(4)] for r in range(3)]
-    return tuple(_minor3(rows, j) for j in range(4))
+    pairs, back = _pairs(state.amplitudes)
+    return tuple(back(m, 3) for m in _minor_pairs(pairs))
 
 
 def _minor_pairs(a):
-    """minors322 on Gaussian-integer pairs, each minor expanded along row 0."""
+    """minors322 on pairs, each minor expanded along row 0."""
     r0, r1, r2 = a[0:4], a[4:8], a[8:12]
     d = {(j, k): _pdet(r1[j], r1[k], r2[j], r2[k]) for j, k in itertools.combinations(range(4), 2)}
     minors = []
@@ -175,25 +168,6 @@ class BinaryFormCoefficients:
     coeffs: tuple
 
 
-def _det(m):
-    """Determinant of a 2x2 matrix given row-major as four entries."""
-    return m[0] * m[3] - m[1] * m[2]
-
-
-def _polar(m, n):
-    """Mixed term of det(M + tN) = det M + _polar(M, N) t + det N t^2."""
-    return m[0] * n[3] + n[0] * m[3] - m[1] * n[2] - n[1] * m[2]
-
-
-def _poly_mul(p, q):
-    """Product of two polynomials given as ascending coefficient sequences."""
-    out = [p[0] * 0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def binary_form_coeffs(state: StateTensor) -> BinaryFormCoefficients:
     """Expand the party-0 slice pencil of a 2x2x2 or 2x2x2x2 state.
 
@@ -205,32 +179,20 @@ def binary_form_coeffs(state: StateTensor) -> BinaryFormCoefficients:
     """
     if state.format not in ((2, 2, 2), (2, 2, 2, 2)):
         raise WrongFormat(f"no slice pencil for format {state.format}; expected 2x2x2 or 2x2x2x2")
-    num = numerators(state.amplitudes)
-    if num is not None:
-        coeffs = _pencil_pairs(num[0])
-        degree = len(coeffs) - 1  # each c_j has the degree in the amplitudes that the pencil has in t
-        return BinaryFormCoefficients(degree, tuple(reduced(x, y, num[1] ** degree) for x, y in coeffs))
-    a = state.amplitudes
-    if state.format == (2, 2, 2):
-        m, n = a[0:4], a[4:8]
-        coeffs = (_det(m), _polar(m, n), _det(n))
-    else:
-        m0, m1, n0, n1 = a[0:4], a[4:8], a[8:12], a[12:16]
-        p0 = (_det(m0), _polar(m0, n0), _det(n0))
-        p1 = (_polar(m0, m1), _polar(m0, n1) + _polar(n0, m1), _polar(n0, n1))
-        p2 = (_det(m1), _polar(m1, n1), _det(n1))
-        coeffs = tuple(u - 4 * v for u, v in zip(_poly_mul(p1, p1), _poly_mul(p0, p2)))
-    return BinaryFormCoefficients(len(coeffs) - 1, coeffs)
+    pairs, back = _pairs(state.amplitudes)
+    coeffs = _pencil_pairs(pairs)
+    degree = len(coeffs) - 1  # each c_j has the degree in the amplitudes that the pencil has in t
+    return BinaryFormCoefficients(degree, tuple(back(c, degree) for c in coeffs))
 
 
 def _ppolar(m, n):
-    """_polar on Gaussian-integer pairs."""
+    """Mixed term of det(M + tN) = det M + _ppolar(M, N) t + det N t^2, on pairs; M and N row-major."""
     (x, y), (u, v) = _pdet(m[0], m[1], n[2], n[3]), _pdet(n[0], n[1], m[2], m[3])
     return x + u, y + v
 
 
 def _pencil_pairs(a):
-    """binary_form_coeffs' c_0..c_l on the Gaussian-integer pairs of a 2x2x2 or 2x2x2x2 state."""
+    """binary_form_coeffs' c_0..c_l on the pairs of a 2x2x2 or 2x2x2x2 state."""
     if len(a) == 8:
         m, n = a[0:4], a[4:8]
         return [_pdet(*m), _ppolar(m, n), _pdet(*n)]
@@ -243,7 +205,7 @@ def _pencil_pairs(a):
 
 
 def _ppoly_mul(p, q):
-    """_poly_mul on Gaussian-integer pair coefficients."""
+    """Product of two polynomials given as ascending sequences of pair coefficients."""
     out = [(0, 0)] * (len(p) + len(q) - 1)
     for i, (a, b) in enumerate(p):
         for j, (c, d) in enumerate(q):
@@ -253,7 +215,7 @@ def _ppoly_mul(p, q):
 
 
 def _scaled(k: int, p):
-    """The integer k times the Gaussian-integer pair p."""
+    """The integer k times the pair p."""
     return k * p[0], k * p[1]
 
 
@@ -277,7 +239,8 @@ def schlafli_lift(coeffs: BinaryFormCoefficients, calibration) -> LiftResult:
     the two partial derivatives, each of degree l-1: l-1 shifted rows of
     ((l-j) c_j) above l-1 shifted rows of ((j+1) c_(j+1)).  It is a
     polynomial in the c_j, so a zero leading coefficient or an identically
-    zero pencil needs no special case.
+    zero pencil needs no special case.  The coefficients are exact (Gaussian
+    rationals or QuadExt), and so is the determinant (linalg.exact_det).
     """
     cs = coeffs.coeffs
     l = len(cs) - 1
@@ -291,12 +254,7 @@ def schlafli_lift(coeffs: BinaryFormCoefficients, calibration) -> LiftResult:
     for r in range(l - 1):
         m[r][r : r + l] = d0
         m[l - 1 + r][r : r + l] = d1
-    if is_exact(cs[0]):
-        res = linalg.exact_det(m)
-    else:
-        import numpy as np
-        res = complex(np.linalg.det(linalg.float_matrix(m)))
-    return LiftResult(calibration * res)
+    return LiftResult(calibration * linalg.exact_det(m))
 
 
 #: Calibration pinning the degree-2 lift to the explicit 2x2x2 polynomial.
@@ -313,14 +271,9 @@ def generic4_state(alpha, beta, gamma, delta, field_tag: str = EXACT) -> StateTe
     Places a on |0000>+|1111>, b on |0011>+|1100>, g on |0101>+|1010>,
     and d on |0110>+|1001>.
     """
-    coerce = as_exact if field_tag == EXACT else as_float
-    a, b, g, d = (coerce(v) for v in (alpha, beta, gamma, delta))
-    zero = a * 0
-    amps = [zero] * 16
-    pairs = {(0, 15): a, (3, 12): b, (5, 10): g, (6, 9): d}
-    for (i, j), v in pairs.items():
-        amps[i] = v
-        amps[j] = v
+    amps = [0] * 16  # new_state converts every entry to the field
+    for (i, j), v in {(0, 15): alpha, (3, 12): beta, (5, 10): gamma, (6, 9): delta}.items():
+        amps[i] = amps[j] = v
     return new_state((2, 2, 2, 2), amps, field_tag)
 
 
@@ -340,22 +293,23 @@ def generic4_product(alpha, beta, gamma, delta, field_tag: str = EXACT):
 
 
 def det4(state: StateTensor):
-    """Four-qubit hyperdeterminant of degree 24.
+    """Four-qubit hyperdeterminant of degree 24, (4 I^3 - J^2) / 6912 of the pencil quartic.
 
-    Gaussian-rational states take the closed form (4 I^3 - J^2) / 6912 of
-    the pencil quartic's invariants; float and extension-field states take
-    the Schlafli lift calibrated by K4.
+    Float pencil coefficients are read exactly, as integers over a power of
+    two, so the closed form does not cancel; it rounds once, to an infinity
+    past the float range, or is NaN for a coefficient that is not finite.
     """
     _require_format(state, (2, 2, 2, 2))
-    num = numerators(state.amplitudes)
-    if num is not None:
-        return reduced(*_quartic_discriminant(_pencil_pairs(num[0])), 6912 * num[1] ** 24)
-    calibration = K4 if state.field_tag == EXACT else complex(K4)
-    return schlafli_lift(binary_form_coeffs(state), calibration).value
+    pairs, back = _pairs(state.amplitudes)
+    coeffs, degree = _pencil_pairs(pairs), 24
+    if state.field_tag == FLOAT:
+        coeffs, back = _pairs([complex(*c) for c in coeffs], dyadic=True)
+        degree = 6  # the discriminant's degree in the coefficients
+    return back(_quartic_discriminant(coeffs), degree, 6912)
 
 
 def _quartic_discriminant(c):
-    """4 I^3 - J^2 of the quartic sum c_j x0^(4-j) x1^j, on Gaussian-integer pairs.
+    """4 I^3 - J^2 of the quartic sum c_j x0^(4-j) x1^j, on pairs.
 
     I = 12 c0 c4 - 3 c1 c3 + c2^2 and
     J = 72 c0 c2 c4 + 9 c1 c2 c3 - 27 c0 c3^2 - 27 c1^2 c4 - 2 c2^3.

@@ -258,8 +258,9 @@ def rational_roots_if_split(coeffs):
 
 
 def float_matrix(rows) -> np.ndarray:
+    """A complex array of scalars; numpy reads each through its __complex__ or __float__."""
     import numpy as np
-    return np.array([[complex(x) for x in r] for r in rows], dtype=complex)
+    return np.array(rows, dtype=complex)
 
 
 def singular_values(rows) -> np.ndarray:

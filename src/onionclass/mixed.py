@@ -73,7 +73,11 @@ def ensemble(members, tol: float = DEFAULT_TOL) -> Ensemble:
     total = sum(Fraction(w) for w, _ in packed)
     if all(isinstance(w, Fraction) for w, _ in packed):
         if total != 1:
-            raise SizeMismatch(f"weights must sum to 1 exactly, got {total}")
+            try:
+                shown = str(total)
+            except ValueError:  # its terms pass the int-to-str digit limit
+                shown = f"about 10**{math.log10(total.numerator) - math.log10(total.denominator):.2f}"
+            raise SizeMismatch(f"weights must sum to 1 exactly, got {shown}")
     elif abs(total - 1) > tol:
         shown = float(total) if total <= sys.float_info.max else "more than the largest float"
         raise SizeMismatch(f"weights must sum to 1, got {shown}")

@@ -285,10 +285,12 @@ def critical_point_search(
     critical point, and Levenberg-Marquardt steps with per-start damping
     finish the starts whose critical point is singular.  The best residual
     is selected, so the verdict is deterministic under any execution order.
-    found=True certifies degeneracy up to tol; found=False reports the best
-    residual as evidence.  A negative seed, fewer than one restart or a
-    tolerance that is not finite and nonnegative raises DocumentInvalid;
-    fewer than 2 or more than 8 parties raise UnsupportedFormat.
+    `tol` bounds the gradient's norm, the residual's square root: found=True,
+    with a witness, iff the best residual is at most tol**2, and certifies
+    degeneracy up to tol; found=False reports it as evidence.  A negative
+    seed, fewer than one restart or a tolerance that is not finite and
+    nonnegative raises DocumentInvalid; fewer than 2 or more than 8 parties
+    raise UnsupportedFormat.
     """
     import numpy as np
     check_seed(seed)
@@ -304,10 +306,11 @@ def critical_point_search(
 
     best = int(np.argmin(residual))
     best_residual = float(residual[best])
+    found = best_residual <= tol * tol
     witness = None
-    if best_residual <= tol:
+    if found:
         witness = ProductVector(tuple(tuple(complex(v) for v in x[best, part]) for part in pairing.parts))
-    return CriticalSearchResult(best_residual <= tol, witness, best_residual, restarts)
+    return CriticalSearchResult(found, witness, best_residual, restarts)
 
 
 def random_rational_state(format: Sequence[int], seed: int, bound: int = 9) -> StateTensor:

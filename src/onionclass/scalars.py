@@ -216,14 +216,25 @@ def numerators(values):
     return [(v._x * (k := d // v._d), v._y * k) for v in values], d
 
 
+def dyadic_numerators(values):
+    """(pairs, d) of complex floats as numerators gives, exactly, as d is a power of two; None for inf or NaN."""
+    try:
+        ratios = [x.as_integer_ratio() for v in values for x in (v.real, v.imag)]
+    except (OverflowError, ValueError):
+        return None
+    d = max(q for _, q in ratios)
+    nums = [p * (d // q) for p, q in ratios]
+    return list(zip(nums[0::2], nums[1::2])), d
+
+
 def gauss_mul(u, v):
-    """The product of two Gaussian integers given as (re, im) pairs."""
+    """The product of two complex numbers given as (re, im) pairs: Gaussian integers, floats or field values."""
     (a, b), (c, d) = u, v
     return a * c - b * d, a * d + b * c
 
 
 def gauss_dot(us, vs):
-    """sum u*v over the paired Gaussian integers (re, im) of `us` and `vs`, as one pair."""
+    """sum u*v over the paired (re, im) pairs of `us` and `vs`, as one pair."""
     x = y = 0
     for (a, b), (c, d) in zip(us, vs):
         x += a * c - b * d
@@ -363,9 +374,7 @@ def as_exact(value) -> GaussianRational:
 def as_float(value) -> complex:
     if isinstance(value, complex):
         return value
-    if isinstance(value, (int, float, Fraction)):
-        return complex(value)
-    if isinstance(value, (GaussianRational, QuadExt)):
+    if isinstance(value, (int, float, Fraction, GaussianRational, QuadExt)):
         return complex(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a complex float")
 
@@ -379,8 +388,8 @@ def scalar_is_zero(value, scale: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     if is_exact(value):
         return not value
     if scale <= 0.0:
-        return abs(as_float(value)) == 0.0
-    return abs(as_float(value)) <= tol * scale
+        return abs(value) == 0.0
+    return abs(value) <= tol * scale
 
 
 def rational_sqrt(f: Fraction):

@@ -68,7 +68,7 @@ class StateTensor:
 
     def scale(self) -> float:
         """Largest amplitude magnitude; the reference for float zero tests."""
-        return max(abs(as_float(a)) for a in self.amplitudes)
+        return max(map(abs, self.amplitudes))
 
 
 @dataclass(eq=False, frozen=True)
@@ -175,22 +175,20 @@ def exact_state(format: Sequence[int], amplitudes: Sequence) -> StateTensor:
 
 
 def float_state(format: Sequence[int], amplitudes: Sequence) -> StateTensor:
-    return new_state(format, [as_float(a) for a in amplitudes], FLOAT)
+    return new_state(format, amplitudes, FLOAT)
 
 
 def from_terms(format: Sequence[int], terms: dict, field_tag: str = EXACT) -> StateTensor:
     """Build a state from a {multi-index: coefficient} mapping."""
     fmt = tuple(int(d) for d in format)
-    coerce = as_exact if field_tag == EXACT else as_float
-    zero = GaussianRational(0) if field_tag == EXACT else 0j
-    amps = [zero] * math.prod(fmt)
+    amps = [0] * math.prod(fmt)  # new_state converts every entry to the field
     for multi, coeff in terms.items():
         off = 0
         for dim, idx in zip(fmt, multi):
             if not 0 <= idx < dim:
                 raise FormatMismatch(f"index {multi} outside format {fmt}")
             off = off * dim + idx
-        amps[off] = coerce(coeff)
+        amps[off] = coeff
     return new_state(fmt, amps, field_tag)
 
 
@@ -243,7 +241,7 @@ class Decisions:
 
     def is_zero(self, value, scale: float) -> bool:
         if not is_exact(value) and scale > 0:
-            self.warn |= bool(self.tol / 10 < abs(as_float(value)) / scale <= 10 * self.tol)
+            self.warn |= bool(self.tol / 10 < abs(value) / scale <= 10 * self.tol)
         return scalar_is_zero(value, scale, self.tol)
 
     def invariant_is_zero(self, state: StateTensor, value, degree: int) -> bool:
@@ -308,24 +306,19 @@ def schmidt_coefficients(state: StateTensor):
     return tuple(float(e) for e in eigs[::-1])
 
 
-def _coerce_entry(x):
-    if is_exact(x):
-        return x
-    if isinstance(x, (int, Fraction, str)):
-        return as_exact(x)
-    return as_float(x)
-
-
 def local_operators(matrices: Sequence) -> LocalOperatorTuple:
-    """Wrap per-party square matrices; SizeMismatch for a non-square one.
+    """Wrap per-party square matrices, all exact or all float; SizeMismatch for a non-square one.
 
-    Integer and Fraction entries are promoted to the exact field.  A float
-    or complex entry anywhere in the tuple makes every entry of every
-    operator a complex float, so a tuple is all exact or all float.
+    A float or complex entry anywhere makes every entry a complex float (a
+    string its exact value's); otherwise int, Fraction and string entries
+    become exact, and exact entries stay as they are.
     """
-    mats = [tuple(tuple(_coerce_entry(x) for x in r) for r in mat) for mat in matrices]
-    if not all(is_exact(x) for rows in mats for r in rows for x in r):
-        mats = [tuple(tuple(as_float(x) for x in r) for r in rows) for rows in mats]
+    mats = [[tuple(r) for r in mat] for mat in matrices]
+    if any(isinstance(x, (float, complex)) for rows in mats for r in rows for x in r):
+        entry = lambda x: as_float(GaussianRational(x) if isinstance(x, str) else x)
+    else:
+        entry = lambda x: x if is_exact(x) else GaussianRational(x)
+    mats = [tuple(tuple(map(entry, r)) for r in rows) for rows in mats]
     if any(len(r) != len(rows) for rows in mats for r in rows):
         raise SizeMismatch("local operators must be square")
     return LocalOperatorTuple(tuple(mats))
@@ -399,7 +392,8 @@ def apply_local(state: StateTensor, ops: LocalOperatorTuple) -> StateTensor:
     matrices = ops.operators
     if state.field_tag == FLOAT or not is_exact(matrices[0][0][0]):
         state = to_float(state)
-        matrices = [[[as_float(x) for x in row] for row in mat] for mat in matrices]
+        if is_exact(matrices[0][0][0]):  # float operators are complex already (local_operators)
+            matrices = [[[as_float(x) for x in row] for row in mat] for mat in matrices]
     out = _contract(state.amplitudes, state.format, list(enumerate(matrices)))
     pushed = new_state(state.format, out, state.field_tag)
     if pushed.field_tag == FLOAT:

@@ -271,6 +271,21 @@ def test_mixed_weight_sum_past_the_float_range():
     assert payload["message"].startswith("weights must sum to 1")
 
 
+def test_mixed_exact_weight_sum_past_the_int_str_limit():
+    # the exact sum of these weights has terms of about 4,500 digits; the message must not print them in full
+    state = json.loads(_ghz_doc())
+    members = [{"weight": "1/%d" % (10**1500 + k), "state": state} for k in (1, 3, 7)]
+    result = _run(["mixed"], stdin=json.dumps({"members": members}))
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)
+    assert payload["error"] == "SizeMismatch"
+    assert payload["message"] == "weights must sum to 1 exactly, got about 10**-1499.52"
+    # a sum within the limit prints in full
+    members = [{"weight": w, "state": state} for w in ("1/2", "1/3")]
+    payload = json.loads(_run(["mixed"], stdin=json.dumps({"members": members})).output)
+    assert payload["message"] == "weights must sum to 1 exactly, got 5/6"
+
+
 def test_text_and_json_agree():
     as_json = json.loads(_run(["classify"], stdin=_ghz_doc()).output)
     as_text = _run(["classify", "--output", "text"], stdin=_ghz_doc()).output

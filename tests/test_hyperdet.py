@@ -1,3 +1,5 @@
+import cmath
+import importlib
 import math
 from fractions import Fraction
 
@@ -7,25 +9,31 @@ from hypothesis import given, settings, strategies as st
 
 from onionclass import (
     SizeMismatch,
+    StateTensor,
     UnsupportedFormat,
     WrongFormat,
     apply_local,
     binary_form_coeffs,
+    canonicalize_3qubit,
+    classify,
     concurrence,
     det2,
     det3,
     det322,
     det4,
     exact_state,
+    flatten,
     float_state,
     from_terms,
     generic4_product,
     generic4_state,
     hyperdet,
+    linalg,
     local_operators,
     new_state,
     pairing,
     product_vector,
+    random_state,
     schlafli_lift,
     three_tangle,
     to_float,
@@ -236,7 +244,7 @@ def test_det4_float_pushed_generic_states(rng):
         assert det4(pushed) == pytest.approx(complex(det4(shadow)), rel=1e-6)
 
 
-# --- the integer polynomials against the generic path and the Schlafli lift ---
+# --- the pair kernels against independent references, the QuadExt embedding and the lift ---
 
 _props = settings(derandomize=True, max_examples=100, deadline=None)
 _gaussians = st.builds(lambda a, b, c, e: GR(Fraction(a, c), Fraction(b, e)),
@@ -256,23 +264,90 @@ def _product(vectors):
 
 
 def _generic(state):
-    """The same state over QuadExt scalars with a zero extension part, so the scalar loops evaluate it."""
+    """The same state over QuadExt scalars with a zero extension part, so the kernels take (q, 0) pairs."""
     return new_state(state.format, [QuadExt(a, 0, GR(2)) for a in state.amplitudes])
 
 
 def _polynomial_values(state):
-    """det3 and the pencil, det322, or the quartic pencil, by format."""
+    """det3 and the pencil, det322 and its minors, or the quartic pencil and det4, by format."""
     if state.format == (3, 2, 2):
-        return (det322(state),)
-    return ((det3(state),) if state.format == (2, 2, 2) else ()) + binary_form_coeffs(state).coeffs
+        return (det322(state),) + minors322(state)
+    own = det3(state) if state.format == (2, 2, 2) else det4(state)
+    return (own,) + binary_form_coeffs(state).coeffs
 
 
 @_props
 @given(st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]).flatmap(
     lambda fmt: _amplitudes(math.prod(fmt)).map(lambda amps: exact_state(fmt, amps))))
-def test_integer_polynomials_match_the_generic_path(state):
-    for fast, slow in zip(_polynomial_values(state), _polynomial_values(_generic(state)), strict=True):
-        assert type(fast) is GR and fast == as_exact(slow)
+def test_pair_kernels_match_independent_references(state):
+    amps = state.amplitudes
+    if state.format == (3, 2, 2):
+        # the minors by exact elimination of the party-0 flattening's 3x3 submatrices
+        rows = flatten(state, [0])
+        minors = tuple(linalg.exact_det([[r[c] for c in range(4) if c != j] for r in rows]) for j in range(4))
+        assert minors322(state) == minors
+        assert det322(state) == minors[0] * minors[3] - minors[1] * minors[2]
+    else:
+        # Det(A0 + t A1) at the l + 1 points t = 0..l fixes the degree-l pencil
+        coeffs = binary_form_coeffs(state).coeffs
+        half, det = len(amps) // 2, det2 if state.format == (2, 2, 2) else det3
+        for t in range(len(coeffs)):
+            pencil = StateTensor(state.format[1:], tuple(x + t * y for x, y in zip(amps[:half], amps[half:])), "exact")
+            assert det(pencil) == sum(c * t**j for j, c in enumerate(coeffs))
+    for fast, ext in zip(_polynomial_values(state), _polynomial_values(_generic(state)), strict=True):
+        assert type(fast) is GR and fast == as_exact(ext)
+
+
+@_props
+@given(st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]), st.integers(0, 2**32 - 1))
+def test_float_invariants_match_the_exact_value_of_the_same_input(fmt, seed):
+    # a float is a dyadic rational, so Fraction reads the same input exactly
+    state = random_state(fmt, seed)
+    shadow = exact_state(fmt, [GR(Fraction(a.real), Fraction(a.imag)) for a in state.amplitudes])
+    value, exact = hyperdet(state).value, complex(hyperdet(shadow).value)
+    assert type(value) is complex and abs(value - exact) <= 1e-10 * abs(exact)
+    if fmt != (3, 2, 2):
+        # the pencil coefficients against the largest of them
+        coeffs, reference = binary_form_coeffs(state).coeffs, [complex(c) for c in binary_form_coeffs(shadow).coeffs]
+        assert max(abs(c - r) for c, r in zip(coeffs, reference)) <= 1e-10 * max(map(abs, reference))
+
+
+def test_float_det4_reads_its_coefficients_exactly(rng):
+    # on pushes of a Det = 0 state with a double pencil root the closed form cancels: evaluated in float,
+    # |4 I^3 - J^2| reaches 1e-11 of 4 |I|^3 + |J|^2, and on the exactly read coefficients it stays below 1e-18
+    hyperplane = generic4_state(1, 2, 3, -4, field_tag="float")  # 1 - 2 - 3 + 4 = 0
+    for _ in range(50):
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
+        pushed = apply_local(hyperplane, local_operators([m.tolist() for m in mats]))
+        c0, c1, c2, c3, c4 = binary_form_coeffs(pushed).coeffs
+        i = 12 * c0 * c4 - 3 * c1 * c3 + c2 * c2
+        j = 72 * c0 * c2 * c4 + 9 * c1 * c2 * c3 - 27 * c0 * c3 * c3 - 27 * c1 * c1 * c4 - 2 * c2 ** 3
+        assert abs(det4(pushed)) <= 1e-18 * (4 * abs(i) ** 3 + abs(j) ** 2) / 6912
+
+
+def test_float_det4_past_the_float_range_is_not_finite():
+    state = random_state((2, 2, 2, 2), 7)
+    # at 1e14 the discriminant of the exactly read coefficients passes the float range; at 1e100 the coefficients do
+    for scale in (1e14, 1e100):
+        value = det4(float_state(state.format, [scale * a for a in state.amplitudes]))
+        assert not cmath.isfinite(value), scale
+
+
+def test_invariants_take_neither_the_lift_nor_numpy_det(monkeypatch, w_state):
+    # one body per polynomial in every field: a silent return to the Sylvester lift fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("the invariants took the Sylvester lift")
+    monkeypatch.setattr(importlib.import_module("onionclass.hyperdet"), "schlafli_lift", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    for fmt in DEGREES:
+        exact = random_rational_state(fmt, 7)
+        for state in (exact, to_float(exact), _generic(exact)):
+            assert hyperdet(state).defined
+        classify(to_float(exact))
+    rng = np.random.default_rng(7)
+    for state in (random_rational_state((2, 2, 2), 7), w_state):
+        ops = local_operators([rand_invertible(rng, 2) for _ in range(3)])
+        canonicalize_3qubit(to_float(apply_local(state, ops)))
 
 
 @st.composite

@@ -154,6 +154,30 @@ def test_search_verdicts_on_unit_pushes(family, name, seeds, degenerate):
             assert result.residual >= 5e-4, (name, seed, result.residual)
 
 
+# a unit-norm push of a generic 2x2x2x2 state (exact Det != 0) about 2e-5 from the dual variety:
+# its best residual, the squared gradient norm, is 1.5e-9, so only a cut at tol**2 reads it generic
+_NEAR_DEGENERATE_GENERIC4 = [
+    (-0.13259091225664196, -0.24102081383540694), (0.025634243036284112, 0.2203955608177071),
+    (-0.17708252948053738, 0.01797343477256702), (0.13789454874690765, 0.041839798978762575),
+    (0.010017980037168504, 0.14909111467080186), (0.03859868779026688, -0.11255495218230495),
+    (0.0898671738628351, 0.03270575835663835), (-0.05598282961947105, -0.052447071959293934),
+    (0.3476828365840834, 0.3606472813380661), (-0.15115363997257183, -0.3780314231672703),
+    (0.3052537446619579, -0.1208050533893849), (-0.26783364275841676, -0.005008990018584252),
+    (-0.08603676973097656, -0.2592888950796554), (-0.016205555942478463, 0.21892232845929996),
+    (-0.17678788300885595, -0.01473232358407133), (0.12699262929469485, 0.06688474907168383),
+]
+
+
+def test_tol_bounds_the_gradient_norm():
+    state = float_state((2, 2, 2, 2), [complex(re, im) for re, im in _NEAR_DEGENERATE_GENERIC4])
+    result = critical_point_search(state, restarts=64, tol=1e-8, seed=214)
+    assert 1e-16 < result.residual < 1e-8
+    assert not result.found and result.witness is None
+    # the same residual is FOUND once tol, the gradient-norm bound, reaches its square root
+    loose = critical_point_search(state, restarts=64, tol=1e-4, seed=214)
+    assert loose.residual == result.residual and loose.found and loose.witness is not None
+
+
 def test_singular_newton_system_ends_the_finish():
     # the search rescales the tensor to unit norm, so the damping never vanishes against J^H J
     # and neither the verdict nor the residual depends on the state's scale

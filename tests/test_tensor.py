@@ -247,6 +247,23 @@ def test_apply_local_examples(ghz):
     assert projected.amplitudes == from_terms((2, 2, 2), {(0, 0, 0): 1}).amplitudes
 
 
+def test_local_operators_decide_the_field_once():
+    rad = GR(2)
+    root2 = QuadExt(0, 1, rad)
+    exact = local_operators([[[root2, GR(1, 2)], ["1/3", 4]], [[Fraction(1, 5), 0], [GR(0, 1), True]]])
+    assert exact.operators == (((root2, GR(1, 2)), (GR(Fraction(1, 3)), GR(4))),
+                               ((GR(Fraction(1, 5)), GR(0)), (GR(0, 1), GR(1))))
+    assert type(exact.operators[0][0][0]) is QuadExt and all(type(x) is GR for x in exact.operators[1][1])
+    # one complex entry makes every entry complex; a string takes its exact value's
+    mixed = local_operators([[[root2, GR(1, 2)], ["1/3", 4]], [[Fraction(1, 5), 0], [GR(0, 1), 0.5j]]])
+    assert mixed.operators == (((complex(root2), 1 + 2j), (1 / 3, 4)), ((0.2, 0), (1j, 0.5j)))
+    assert all(type(x) is complex for m in mixed.operators for r in m for x in r)
+    with pytest.raises(TypeError):
+        local_operators([[[(1, 2), 0], [0, 1]]])
+    with pytest.raises(SizeMismatch):
+        local_operators([[[1, 0]], [[1, 0], [0, 1]]])
+
+
 def test_apply_local_overflow_is_document_invalid(ghz):
     huge = local_operators([[[1e200, 0], [0, 1e200]]] * 3)
     with pytest.raises(DocumentInvalid):
