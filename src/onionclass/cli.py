@@ -1,8 +1,9 @@
 """Command-line surface: JSON in, JSON or aligned text out.
 
-Exit codes: 0 on success, 2 for validation problems, unreadable input and
-usage errors, 3 for unsupported formats; 2 and 3 come with a
-machine-readable error object.  Exact values serialize as "p/q" strings;
+Exit codes: 0 on success, 2 for validation problems, unreadable input,
+usage errors and float results that are not finite, 3 for unsupported
+formats; 2 and 3 come with a machine-readable error object, and no output
+holds a bare NaN or Infinity.  Exact values serialize as "p/q" strings;
 this is the bit-exact interchange format.  All defaults can also come
 from ONION_* environment variables.
 """
@@ -50,8 +51,14 @@ def _read_document(input_path):
 
 
 def _emit(data: dict, output: str):
+    """Print a report as strict JSON or as aligned text; DocumentInvalid when a float in it is not finite."""
+    try:
+        text = json.dumps(data, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity, which JSON cannot carry
+        raise DocumentInvalid(
+            "a float result is not finite, and JSON cannot carry it; exact mode evaluates it in full") from exc
     if output == "json":
-        click.echo(json.dumps(data, indent=2))
+        click.echo(text)
         return
     width = max(len(str(k)) for k in data)
     for key, value in data.items():

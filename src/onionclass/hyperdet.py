@@ -141,18 +141,22 @@ def concurrence(state: StateTensor):
     Float mode returns the measure itself; exact mode returns the squared
     measure 4 |det2|^2, which stays rational.
     """
-    value = det2(state)
-    if state.field_tag == EXACT:
-        return 4 * value.abs_squared()
-    return 2.0 * abs(value)
+    _require_format(state, (2, 2))
+    return _measure(state, 2)
 
 
 def three_tangle(state: StateTensor):
     """Three-qubit tangle 4|det3| (float) or its square 16|det3|^2 (exact)."""
-    value = det3(state)
+    _require_format(state, (2, 2, 2))
+    return _measure(state, 4)
+
+
+def _measure(state: StateTensor, k: int):
+    """k |Det| (float) or k^2 |Det|^2 (exact), Det the state's hyperdet value."""
+    value = hyperdet(state).value
     if state.field_tag == EXACT:
-        return 16 * value.abs_squared()
-    return 4.0 * abs(value)
+        return k * k * value.abs_squared()
+    return k * abs(value)
 
 
 @dataclass(frozen=True)
@@ -332,13 +336,17 @@ class HyperdetResult:
 
 
 def hyperdet(state: StateTensor) -> HyperdetResult:
-    """Evaluate the hyperdeterminant of any supported format.
+    """Evaluate the hyperdeterminant of any supported format, once per state (StateTensor.cached).
 
     Formats violating the polygon inequality (largest party dimension
     exceeding the sum of the rest) have no hypersurface dual, so the value
     is fixed at unit with defined=False.  Hypersurface formats without an
     implemented formula raise UnsupportedFormat.
     """
+    return state.cached("hyperdet", _evaluate)
+
+
+def _evaluate(state: StateTensor) -> HyperdetResult:
     fmt = state.format
     # built per call, so it holds det2 to det4 as bound now (wrapped ones, when traced)
     formula = {(2, 2): det2, (2, 2, 2): det3, (3, 2, 2): det322, (2, 2, 2, 2): det4}.get(fmt)

@@ -263,7 +263,11 @@ def float_matrix(rows) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def singular_values(rows) -> np.ndarray:
-    """Singular values of a matrix of scalars, largest first."""
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of a complex ndarray, as given, largest first.
+
+    Decisions.rank reads each float flattening's values from here once per
+    state and cut, as a view or copy of the state's array.
+    """
     import numpy as np
-    return np.linalg.svd(float_matrix(rows), compute_uv=False)
+    return np.linalg.svd(matrix, compute_uv=False)

@@ -9,12 +9,13 @@ and so on.  Party indices in the API are 0-based.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
 from .errors import (
@@ -40,14 +41,38 @@ from .scalars import (
     scalar_is_zero,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class StateTensor:
-    """Unnormalized amplitude tensor with its format and numeric field."""
+    """Unnormalized amplitude tensor with its format and numeric field.
+
+    A state keeps what it has computed from its amplitudes alone (see
+    `cached`): a float state's complex ndarray of shape `format`, each
+    cut's singular values or exact rank, and its hyperdeterminant.  So
+    classify, hyperdet and canonicalize_3qubit decide one state object
+    once, however often they are called on it; every `tol` rule is applied
+    afresh to the kept values.  Equality, hash and repr read the three
+    fields only.
+    """
 
     format: tuple[int, ...]
     amplitudes: tuple
     field_tag: str
+
+    @functools.cached_property
+    def _cache(self) -> dict:
+        # cached_property writes the instance __dict__ directly, which a frozen dataclass allows
+        return {}
+
+    def cached(self, key, compute):
+        """compute(self), evaluated on the first call with `key` and kept; it must read the amplitudes alone."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
 
     @property
     def n_parties(self) -> int:
@@ -228,6 +253,19 @@ def flatten(state: StateTensor, parties: Sequence[int]):
     return [[amps[r + c] for c in cols] for r in _offsets(state.format, cut)]
 
 
+def _float_flattening(state: StateTensor, cut: tuple[int, ...]) -> np.ndarray:
+    """flatten(state, cut) of a float state, from its complex ndarray of shape `format`; `cut` is checked."""
+    import numpy as np
+    a = state.cached("array", lambda s: np.array(s.amplitudes, dtype=complex).reshape(s.format))
+    rest = tuple(p for p in range(state.n_parties) if p not in cut)
+    return a.transpose(cut + rest).reshape(math.prod(state.format[p] for p in cut), -1)
+
+
+def _singular_values(state: StateTensor, cut: tuple[int, ...]) -> np.ndarray:
+    """A float state's singular values on a checked cut, largest first, computed once per state and cut."""
+    return state.cached(("sv", cut), lambda s: linalg.singular_values(_float_flattening(s, cut)))
+
+
 class Decisions:
     """Every rank and invariant zero test of one computation, through scalar_is_zero at a checked `tol`.
 
@@ -249,11 +287,15 @@ class Decisions:
         return self.is_zero(value, 1.0 if state.field_tag == EXACT else state.scale() ** degree)
 
     def rank(self, state: StateTensor, parties: Sequence[int]) -> int:
-        """A cut's rank: exact elimination, or 1 plus the singular values not zero against the largest."""
-        rows = flatten(state, parties)
+        """A cut's rank: exact elimination, or 1 plus the singular values not zero against the largest.
+
+        The exact rank and the singular values are computed once per state
+        and cut (StateTensor.cached); the zero test runs at this `tol` on every call.
+        """
+        cut = _check_cut(state, parties)
         if state.field_tag == EXACT:
-            return linalg.exact_rank(rows)
-        sv = linalg.singular_values(rows)
+            return state.cached(("rank", cut), lambda s: linalg.exact_rank(flatten(s, cut)))
+        sv = _singular_values(state, cut)
         return 1 + sum(not self.is_zero(s, sv[0]) for s in sv[1:])
 
     def local_ranks(self, state: StateTensor) -> tuple[int, ...]:
@@ -283,9 +325,9 @@ def schmidt_coefficients(state: StateTensor):
     """
     if state.n_parties != 2:
         raise NotBipartite(f"format {state.format} is not bipartite")
-    rows = flatten(state, [0])
     if state.field_tag == FLOAT:
-        return tuple(float(s) for s in linalg.singular_values(rows))
+        return tuple(float(s) for s in _singular_values(state, (0,)))
+    rows = flatten(state, [0])
     gram = [
         [
             sum(
@@ -441,14 +483,14 @@ def compress_party(state: StateTensor, party: int, tol: float = DEFAULT_TOL, ran
     A tolerance that is not finite and nonnegative raises DocumentInvalid.
     """
     decide = Decisions(tol)
-    rows = flatten(state, [party])
     if state.field_tag == EXACT:
-        transform, rank = linalg.exact_elimination_transform(rows)
+        transform, rank = linalg.exact_elimination_transform(flatten(state, [party]))
     else:
         import numpy as np
+        cut = _check_cut(state, [party])
         if rank is None:
-            rank = decide.rank(state, (party,))
-        u = np.linalg.svd(linalg.float_matrix(rows))[0]
+            rank = decide.rank(state, cut)
+        u = np.linalg.svd(_float_flattening(state, cut))[0]
         transform = [[complex(x) for x in row] for row in u.conj().T]
     amps = mode_product(state.amplitudes, state.format, party, transform[:rank])
     # a length-1 axis does not change row-major order, so rank 1 drops it as is

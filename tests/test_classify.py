@@ -1,9 +1,11 @@
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
 from onionclass import (
+    BadCut,
     FamilyMismatch,
     NoCanonicalRepresentative,
     UnsupportedFormat,
@@ -17,6 +19,7 @@ from onionclass import (
     exact_state,
     from_terms,
     generic4_state,
+    linalg,
     local_operators,
     local_ranks,
     random_state,
@@ -28,7 +31,7 @@ from onionclass import (
 )
 from onionclass.classify import FORMAT322, QUBIT3, QUBIT4, RANKS_BY_NAME, ClassLabel
 from onionclass.errors import DocumentInvalid
-from onionclass.hyperdet import det3
+from onionclass.hyperdet import det3, hyperdet
 from onionclass.oracle import random_rational_state
 from onionclass.scalars import GaussianRational as GR
 from onionclass.selftest import rand_invertible, rand_singular
@@ -423,3 +426,61 @@ def test_format322_rank_one_party_names_the_class(monkeypatch, ranks, name):
     label = classify(to_float(class_catalog(FORMAT322)["GHZ"]))
     assert label.name == name
     assert ("embedded_det" in label.diagnostics) is (ranks[0] == 2)
+
+
+def _fresh(state):
+    """An equal state object that has computed nothing yet."""
+    return type(state)(state.format, state.amplitudes, state.field_tag)
+
+
+def _decided(label):
+    return label, repr(label.diagnostics)
+
+
+def _states_kept_decided(spectrum_state):
+    # the last one's party-2 ratio 3e-9 is in the band at tol 1e-9 and below tol/10 at 1e-3
+    return [class_catalog(QUBIT3)["W"], class_catalog(FORMAT322)["DEG322"], class_catalog(QUBIT4)["W4"],
+            random_state((2, 2, 2), 3), random_state((3, 2, 2), 4), random_state((2, 2, 2, 2), 5),
+            spectrum_state((2, 2, 2), 2, (1, 3e-9))]
+
+
+def test_kept_decisions_leave_equality_hash_and_repr_alone(spectrum_state):
+    for state in _states_kept_decided(spectrum_state):
+        before = (hash(state), repr(state))
+        classify(state)
+        fresh = _fresh(state)
+        assert state == fresh and (hash(state), repr(state)) == before == (hash(fresh), repr(fresh))
+
+
+def test_kept_decisions_apply_each_tolerance_afresh(spectrum_state):
+    states = _states_kept_decided(spectrum_state)
+    labels = [[_decided(classify(state, tol)) for tol in (1e-9, 1e-3, 1e-9)] for state in states]
+    assert labels == [[_decided(classify(_fresh(state), tol)) for tol in (1e-9, 1e-3, 1e-9)] for state in states]
+    band = labels[-1]
+    assert band[0][0].diagnostics["boundary_warning"] and not band[1][0].diagnostics["boundary_warning"]
+    assert band[0][0].local_ranks == (2, 2, 2) and band[1][0].name == "B3"
+    for state in states:
+        with pytest.raises(BadCut):
+            cut_rank(state, range(state.n_parties))
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_a_state_is_decomposed_once(monkeypatch, mode):
+    # classify, hyperdet and canonicalize_3qubit on one state: each local rank and det3 once
+    state = random_state((2, 2, 2), 7) if mode == "float" else random_rational_state((2, 2, 2), 7)
+    counts = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    rank = "singular_values" if mode == "float" else "exact_rank"
+    counted(linalg, rank)
+    counted(importlib.import_module("onionclass.hyperdet"), "det3")
+    label = classify(state)
+    assert hyperdet(state).value == label.diagnostics["det"]
+    assert canonicalize_3qubit(state)[1] == label
+    assert counts == {rank: 3, "det3": 1}

@@ -17,6 +17,7 @@ from onionclass import (
     apply_local,
     class_catalog,
     critical_point_search,
+    float_state,
     from_terms,
     local_operators,
     random_state,
@@ -556,3 +557,24 @@ def test_invariants_and_classify_agree_on_in_band_ranks(spectrum_state, second_s
     assert classified["local_ranks"] == invariants["local_ranks"] == [2, 2, 2]
     assert invariants["separability"] == [[0, 1, 2]]
     assert classified["diagnostics"]["boundary_warning"] is True
+
+
+def _strict_json(text):
+    """json.loads that refuses the bare NaN, Infinity and -Infinity strict JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"bare {constant} in the output")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize("cmd, fmt", [("hyperdet", (2, 2, 2)), ("hyperdet", (3, 2, 2)),
+                                      ("invariants", (2, 2, 2)), ("invariants", (2, 2, 2, 2))])
+def test_non_finite_float_results_exit_2(cmd, fmt, output):
+    # x1e78 overflows the float invariants, which read inf or NaN; the unit-norm state's report is finite
+    state = random_state(fmt, 5)
+    large = state_document(float_state(fmt, [a * 1e78 for a in state.amplitudes]))
+    result = _run([cmd, "--output", output], stdin=json.dumps(large))
+    assert result.exit_code == 2, result.output
+    assert _strict_json(result.output)["error"] == "DocumentInvalid"
+    unit = _run([cmd], stdin=json.dumps(state_document(state)))
+    assert unit.exit_code == 0 and _strict_json(unit.output)["format"] == list(fmt)
