@@ -11,6 +11,7 @@ convertibility.  Class names keep the conventional 1-based party labels
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -94,7 +95,7 @@ def _hyperdet_is_zero(decide: Decisions, state: StateTensor, diag: dict, key: st
     """Record hyperdet(state) as diag[key]; whether it is zero."""
     result = hyperdet(state)
     diag[key] = result.value
-    return decide.invariant_is_zero(state, result.value, result.degree)
+    return decide.invariant_is_zero(result)
 
 
 def classify(state: StateTensor, tol: float = DEFAULT_TOL) -> ClassLabel:
@@ -316,17 +317,21 @@ def _rank1_factors(rows):
 def canonicalize_3qubit(state: StateTensor, tol: float = DEFAULT_TOL):
     """Local operators carrying a 3-qubit state onto its class representative.
 
-    Returns (ops, label) with apply_local(state, ops) proportional to
-    representative(label).  In exact mode the result is exactly
-    proportional; the class whose pencil discriminant is not a perfect
-    square is handled in the quadratic extension of the Gaussian
-    rationals, so returned operator entries may be extension scalars.  A
-    tolerance that is not finite and nonnegative raises DocumentInvalid.
+    Returns (ops, label) with apply_local(state, ops) proportional to representative(label).  In exact
+    mode the result is exactly proportional; the class whose pencil discriminant is not a perfect square
+    is handled in the quadratic extension of the Gaussian rationals, so returned operator entries may be
+    extension scalars.  Float operators are built from 2^-e times the state (exactly; e the binary
+    exponent of its largest real or imaginary part), so they stay in the float range at every scale.
+    A tolerance that is not finite and nonnegative raises DocumentInvalid.
     """
     check_tol(tol)
     if state.format != (2, 2, 2):
         raise WrongFormat(f"expected format (2, 2, 2), got {state.format}")
     label = classify(state, tol)
+    if not is_exact(state.amplitudes[0]):
+        e = math.frexp(max(max(abs(a.real), abs(a.imag)) for a in state.amplitudes))[1]  # |a| may pass the range
+        amps = tuple(complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in state.amplitudes)
+        state = StateTensor(state.format, amps, state.field_tag)
     if label.name == "S":
         ops = [_send_to_e0(_rank1_factors(flatten(state, [p]))[0]) for p in range(3)]
     elif label.name.startswith("B"):

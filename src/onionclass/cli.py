@@ -174,7 +174,7 @@ def hyperdet_report(state, tol):
     decide = tensor_mod.Decisions(tol)
     # near zero: zero at tol, or in the decade above it, where classify's boundary band warns
     if state.field_tag == FLOAT and state.format == (2, 2, 2, 2) and (
-        decide.invariant_is_zero(state, result.value, result.degree) or decide.warn
+        decide.invariant_is_zero(result) or decide.warn
     ):
         report["warning"] = "degree-24 float evaluation is ill-conditioned near zero; use exact mode"
     return report

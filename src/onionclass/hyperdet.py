@@ -40,13 +40,13 @@ def _require_format(state: StateTensor, fmt: tuple[int, ...]):
         raise WrongFormat(f"expected format {fmt}, got {state.format}")
 
 
-def _pairs(values, dyadic: bool = False):
+def _pairs(values):
     """(pairs, back) for `values` of one field; back(p, degree, k) is p / k in it, p a degree-`degree` result.
 
     Gaussian rationals give integer numerators over one denominator d, and
-    so do finite floats when `dyadic` (exactly: d is a power of two); back
-    divides by k d**degree once.  Other floats give (re, im), and values q
-    of the extension field give (q, 0), whose results hold their value in p[0].
+    so do floats, exactly (d is a power of two); back divides by k d**degree
+    once, so a float result is the exact value of its input rounded once.
+    Values q of the extension field give (q, 0), whose results hold their value in p[0].
     """
     num = numerators(values)
     if num is not None:
@@ -54,11 +54,8 @@ def _pairs(values, dyadic: bool = False):
         return pairs, lambda p, degree, k=1: reduced(p[0], p[1], k * d ** degree)
     if is_exact(values[0]):
         return [(q, 0) for q in values], lambda p, degree, k=1: p[0] / k
-    num = dyadic and dyadic_numerators(values)
-    if num:
-        pairs, d = num
-        return pairs, lambda p, degree, k=1: complex(*(_quotient(x, k * d ** degree) for x in p))
-    return [(z.real, z.imag) for z in values], lambda p, degree, k=1: complex(p[0] / k, p[1] / k)
+    pairs, d = dyadic_numerators(values)
+    return pairs, lambda p, degree, k=1: complex(*(_quotient(x, k * d ** degree) for x in p))
 
 
 def _quotient(n: int, d: int) -> float:
@@ -79,18 +76,30 @@ def pairing(state: StateTensor, x: ProductVector):
     return amps[0]
 
 
+def _det(state: StateTensor, kernel, k: int = 1):
+    """The hyperdeterminant kernel(pairs) / k, of degree DEGREES[format] (always even), in the state's field.
+
+    A float state keeps (StateTensor.cached) the ratio |Det| / max|a|**degree of its zero test, |p| / (k
+    m**(degree/2)) with m = max(x^2 + y^2): the power of two under the pairs cancels, so it is always finite.
+    """
+    pairs, back = _pairs(state.amplitudes)
+    p, degree = kernel(pairs), DEGREES[state.format]
+    if state.field_tag == FLOAT:
+        n, m = p[0] * p[0] + p[1] * p[1], max(x * x + y * y for x, y in pairs)
+        state.cached("det ratio", lambda s: math.sqrt(n / (k * k * m ** degree)))
+    return back(p, degree, k)
+
+
 def det2(state: StateTensor):
     """Ordinary 2x2 determinant a00 a11 - a01 a10."""
     _require_format(state, (2, 2))
-    a = state.amplitudes
-    return a[0] * a[3] - a[1] * a[2]
+    return _det(state, lambda a: _pdet(*a))
 
 
 def det3(state: StateTensor):
     """Cayley's 2x2x2 hyperdeterminant, the explicit degree-4 polynomial."""
     _require_format(state, (2, 2, 2))
-    pairs, back = _pairs(state.amplitudes)
-    return back(_cayley(pairs), 4)
+    return _det(state, _cayley)
 
 
 def _cayley(a):
@@ -111,8 +120,7 @@ def _pdet(p, q, r, s):
 def det322(state: StateTensor):
     """Boundary-format 3x2x2 hyperdeterminant m1 m4 - m2 m3 (degree 6) of the minors322."""
     _require_format(state, (3, 2, 2))
-    pairs, back = _pairs(state.amplitudes)
-    return back(_pdet(*_minor_pairs(pairs)), 6)
+    return _det(state, lambda a: _pdet(*_minor_pairs(a)))
 
 
 def minors322(state: StateTensor):
@@ -299,17 +307,11 @@ def generic4_product(alpha, beta, gamma, delta, field_tag: str = EXACT):
 def det4(state: StateTensor):
     """Four-qubit hyperdeterminant of degree 24, (4 I^3 - J^2) / 6912 of the pencil quartic.
 
-    Float pencil coefficients are read exactly, as integers over a power of
-    two, so the closed form does not cancel; it rounds once, to an infinity
-    past the float range, or is NaN for a coefficient that is not finite.
+    The closed form runs on integers in every field, so it does not cancel;
+    a float value rounds once, to an infinity past the float range.
     """
     _require_format(state, (2, 2, 2, 2))
-    pairs, back = _pairs(state.amplitudes)
-    coeffs, degree = _pencil_pairs(pairs), 24
-    if state.field_tag == FLOAT:
-        coeffs, back = _pairs([complex(*c) for c in coeffs], dyadic=True)
-        degree = 6  # the discriminant's degree in the coefficients
-    return back(_quartic_discriminant(coeffs), degree, 6912)
+    return _det(state, lambda a: _quartic_discriminant(_pencil_pairs(a)), 6912)
 
 
 def _quartic_discriminant(c):
@@ -333,6 +335,7 @@ class HyperdetResult:
     value: object
     degree: int
     format: tuple[int, ...]
+    ratio: float | None = None  # |value| / max|a|**degree of a float state, finite at every scale; None if exact
 
 
 def hyperdet(state: StateTensor) -> HyperdetResult:
@@ -351,7 +354,8 @@ def _evaluate(state: StateTensor) -> HyperdetResult:
     # built per call, so it holds det2 to det4 as bound now (wrapped ones, when traced)
     formula = {(2, 2): det2, (2, 2, 2): det3, (3, 2, 2): det322, (2, 2, 2, 2): det4}.get(fmt)
     if formula is not None:
-        return HyperdetResult(True, formula(state), DEGREES[fmt], fmt)
+        value = formula(state)  # keeps a float state's ratio (_det); an exact state has none
+        return HyperdetResult(True, value, DEGREES[fmt], fmt, state.cached("det ratio", lambda s: None))
     ks = sorted((d - 1 for d in fmt), reverse=True)
     if len(ks) >= 2 and ks[0] > sum(ks[1:]):
         unit = GaussianRational(1) if state.field_tag == EXACT else 1.0 + 0j

@@ -257,12 +257,6 @@ def rational_roots_if_split(coeffs):
     return roots
 
 
-def float_matrix(rows) -> np.ndarray:
-    """A complex array of scalars; numpy reads each through its __complex__ or __float__."""
-    import numpy as np
-    return np.array(rows, dtype=complex)
-
-
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """Singular values of a complex ndarray, as given, largest first.
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .classify import classify
 from .errors import EmptyEnsemble, SizeMismatch, UnsupportedFormat
-from .scalars import DEFAULT_TOL, EXACT, GaussianRational, as_float
-from .tensor import check_tol, norm_squared
+from .scalars import DEFAULT_TOL, EXACT, GaussianRational
+from .tensor import check_tol, float_array, norm_squared
 
 LADDER_ORDER = ("separable-class", "biseparable-class", "W-class", "GHZ-class")
 
@@ -131,7 +131,7 @@ def density_matrix(ens: Ensemble):
     import numpy as np
     rho = np.zeros((dim, dim), dtype=complex)
     for weight, state in ens.members:
-        vec = np.array([as_float(a) for a in state.amplitudes])
+        vec = float_array(state).ravel()
         vec = vec / np.linalg.norm(vec)
         rho += float(weight) * np.outer(vec, vec.conj())
     return rho

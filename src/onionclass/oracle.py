@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DocumentInvalid, UnsupportedFormat
 from .scalars import EXACT, GaussianRational, as_float, numerators
-from .tensor import ProductVector, StateTensor, check_format, check_seed, check_tol, new_state
+from .tensor import ProductVector, StateTensor, check_format, check_seed, check_tol, float_array, new_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,12 +33,6 @@ _MAX_PARTIES = 8
 def _check_parties(state: StateTensor) -> None:
     if not 2 <= state.n_parties <= _MAX_PARTIES:
         raise UnsupportedFormat(f"the oracle needs 2 to {_MAX_PARTIES} parties, got {state.n_parties}")
-
-
-def _tensor_array(state: StateTensor) -> np.ndarray:
-    import numpy as np
-    arr = np.array([as_float(a) for a in state.amplitudes], dtype=complex)
-    return arr.reshape(state.format)
 
 
 def _float_range(state: StateTensor) -> StateTensor:
@@ -249,7 +243,7 @@ def critical_residual(state: StateTensor, x: ProductVector) -> float:
     import numpy as np
     _check_parties(state)
     x.check_shape(state.format)
-    pairing = _Pairing(_tensor_array(state))
+    pairing = _Pairing(float_array(state))
     row = np.array([[as_float(v) for f in x.factors for v in f]], dtype=complex)
     return float(pairing.evaluate(pairing.normalize(row))[2][0])
 
@@ -298,7 +292,7 @@ def critical_point_search(
     if restarts < 1:
         raise DocumentInvalid(f"restarts must be at least 1, got {restarts}")
     _check_parties(state)
-    amps = _tensor_array(_float_range(state))
+    amps = float_array(_float_range(state))
     amps = amps / np.abs(amps).max()  # keeps the squared norm below overflow
     pairing = _Pairing(amps / np.linalg.norm(amps))
     x = pairing.polish(pairing.random_rows(restarts, seed), _POLISH_SWEEPS)

@@ -217,14 +217,11 @@ def numerators(values):
 
 
 def dyadic_numerators(values):
-    """(pairs, d) of complex floats as numerators gives, exactly, as d is a power of two; None for inf or NaN."""
-    try:
-        ratios = [x.as_integer_ratio() for v in values for x in (v.real, v.imag)]
-    except (OverflowError, ValueError):
-        return None
-    d = max(q for _, q in ratios)
-    nums = [p * (d // q) for p, q in ratios]
-    return list(zip(nums[0::2], nums[1::2])), d
+    """(pairs, d) of finite complex floats as numerators gives, exactly, as d is a power of two."""
+    ratios = [x.as_integer_ratio() for v in values for x in (v.real, v.imag)]
+    d = max([q for _, q in ratios])
+    nums = iter([p if q == d else p * (d // q) for p, q in ratios])
+    return list(zip(nums, nums)), d
 
 
 def gauss_mul(u, v):
@@ -387,8 +384,6 @@ def scalar_is_zero(value, scale: float = 1.0, tol: float = DEFAULT_TOL) -> bool:
     """
     if is_exact(value):
         return not value
-    if scale <= 0.0:
-        return abs(value) == 0.0
     return abs(value) <= tol * scale
 
 

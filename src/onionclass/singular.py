@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .classify import FORMAT322, ONION_LEVELS, classify
 from .errors import NotInSection, WrongFormat
-from .scalars import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, is_exact
 from .tensor import Decisions, StateTensor, cut_rank
 
 
@@ -58,7 +58,7 @@ def section_flags(state: StateTensor, tol: float = DEFAULT_TOL) -> SectionFlags:
         raise WrongFormat(f"expected format (2, 2, 2), got {state.format}")
     a = state.amplitudes
     decide = Decisions(tol)
-    zero = lambda v: decide.invariant_is_zero(state, v, 1)
+    zero = lambda v: decide.is_zero(v, 1.0 if is_exact(v) else state.scale())
     in_dual = zero(a[0]) and zero(a[1]) and zero(a[2]) and zero(a[4])
     in_node = in_dual and zero(a[3]) and zero(a[7])
     return SectionFlags(in_dual, in_node)

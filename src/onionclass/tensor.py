@@ -50,8 +50,8 @@ class StateTensor:
     """Unnormalized amplitude tensor with its format and numeric field.
 
     A state keeps what it has computed from its amplitudes alone (see
-    `cached`): a float state's complex ndarray of shape `format`, each
-    cut's singular values or exact rank, and its hyperdeterminant.  So
+    `cached`): its read-only complex ndarray (float_array), each cut's
+    singular values or exact rank, and its hyperdeterminant.  So
     classify, hyperdet and canonicalize_3qubit decide one state object
     once, however often they are called on it; every `tol` rule is applied
     afresh to the kept values.  Equality, hash and repr read the three
@@ -253,10 +253,17 @@ def flatten(state: StateTensor, parties: Sequence[int]):
     return [[amps[r + c] for c in cols] for r in _offsets(state.format, cut)]
 
 
-def _float_flattening(state: StateTensor, cut: tuple[int, ...]) -> np.ndarray:
-    """flatten(state, cut) of a float state, from its complex ndarray of shape `format`; `cut` is checked."""
+def float_array(state: StateTensor) -> np.ndarray:
+    """The amplitudes (exact ones by __complex__) as a read-only complex ndarray of shape `format`, kept per state."""
     import numpy as np
     a = state.cached("array", lambda s: np.array(s.amplitudes, dtype=complex).reshape(s.format))
+    a.flags.writeable = False
+    return a
+
+
+def _float_flattening(state: StateTensor, cut: tuple[int, ...]) -> np.ndarray:
+    """flatten(state, cut) of a float state, from its float_array; `cut` is checked."""
+    a = float_array(state)
     rest = tuple(p for p in range(state.n_parties) if p not in cut)
     return a.transpose(cut + rest).reshape(math.prod(state.format[p] for p in cut), -1)
 
@@ -282,9 +289,9 @@ class Decisions:
             self.warn |= bool(self.tol / 10 < abs(value) / scale <= 10 * self.tol)
         return scalar_is_zero(value, scale, self.tol)
 
-    def invariant_is_zero(self, state: StateTensor, value, degree: int) -> bool:
-        """Whether a degree-`degree` invariant of `state` is zero: exactly, or against max|a|**degree."""
-        return self.is_zero(value, 1.0 if state.field_tag == EXACT else state.scale() ** degree)
+    def invariant_is_zero(self, result) -> bool:
+        """Whether a HyperdetResult is zero: its exact value, or its float ratio |Det| / max|a|**degree."""
+        return self.is_zero(result.value if result.ratio is None else result.ratio, 1.0)
 
     def rank(self, state: StateTensor, parties: Sequence[int]) -> int:
         """A cut's rank: exact elimination, or 1 plus the singular values not zero against the largest.
@@ -344,7 +351,7 @@ def schmidt_coefficients(state: StateTensor):
         if roots is not None and len(roots) == len(gram):
             return tuple(sorted(roots, reverse=True))
     import numpy as np
-    eigs = np.linalg.eigvalsh(linalg.float_matrix(gram))
+    eigs = np.linalg.eigvalsh(np.array(gram, dtype=complex))  # numpy reads each entry by __complex__
     return tuple(float(e) for e in eigs[::-1])
 
 

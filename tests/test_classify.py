@@ -1,8 +1,10 @@
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onionclass import (
     BadCut,
@@ -17,6 +19,7 @@ from onionclass import (
     ensemble,
     ensemble_upper_class,
     exact_state,
+    float_state,
     from_terms,
     generic4_state,
     linalg,
@@ -367,6 +370,20 @@ def test_float_format322_pushed_keeps_label(rng):
             label = classify(pushed)
             assert label.name == name
             assert label.local_ranks == RANKS_BY_NAME[FORMAT322][name]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([(fam, name) for fam in (QUBIT3, FORMAT322, QUBIT4) for name in class_catalog(fam)]),
+       st.integers(0, 2**32 - 1), st.sampled_from([sign * k for k in (40, 100, 300, 600, 1000) for sign in (1, -1)]))
+def test_float_label_holds_at_every_power_of_two_scale(entry, seed, k):
+    # a ray has one class: 2^k times a pushed catalog state, exactly, keeps its label and boundary band
+    rep = to_float(class_catalog(entry[0])[entry[1]])
+    pushed = apply_local(rep, _random_complex_ops(np.random.default_rng(seed), rep.format))
+    amps = pushed.amplitudes
+    scaled = float_state(rep.format, [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in amps])
+    label, unit = classify(scaled), classify(pushed)
+    assert (label.name, label.local_ranks, label.diagnostics["boundary_warning"]) == (
+        unit.name, unit.local_ranks, unit.diagnostics["boundary_warning"])
 
 
 @pytest.mark.parametrize("entry, exact", [

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import random
@@ -16,9 +17,11 @@ from onionclass.documents import parse_state_document, state_document
 from onionclass import (
     apply_local,
     class_catalog,
+    classify,
     critical_point_search,
     float_state,
     from_terms,
+    hyperdet,
     local_operators,
     random_state,
     to_float,
@@ -578,3 +581,25 @@ def test_non_finite_float_results_exit_2(cmd, fmt, output):
     assert _strict_json(result.output)["error"] == "DocumentInvalid"
     unit = _run([cmd], stdin=json.dumps(state_document(state)))
     assert unit.exit_code == 0 and _strict_json(unit.output)["format"] == list(fmt)
+
+
+@pytest.mark.parametrize("fmt", [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2)])
+def test_seeded_documents_keep_their_label_at_every_scale(fmt):
+    # a ray has one class: from 1e-300 to 1e150 nothing exits 1, a report holding a non-finite
+    # float (the value of hyperdet, classify's diagnostics["det"]) exits 2, and any other keeps the label;
+    # the largest real or imaginary part at 1.75e308 puts |a| itself past the float range
+    state = random_state(fmt, 5)
+    unit = classify(state).name
+    cmds = ("classify", "hyperdet", "canonicalize") if fmt == (2, 2, 2) else ("classify", "hyperdet")
+    top = max(max(abs(a.real), abs(a.imag)) for a in state.amplitudes)
+    for scale in [10.0 ** k for k in (-300, -200, -100, -60, -40, 13, 14, 52, 78, 150)] + [1.75e308]:
+        scaled = float_state(fmt, [a / top * scale for a in state.amplitudes])
+        finite = cmath.isfinite(hyperdet(scaled).value)
+        for cmd in cmds:
+            result = _run([cmd], stdin=json.dumps(state_document(scaled)))
+            payload = _strict_json(result.output)
+            if finite or cmd == "canonicalize":
+                assert result.exit_code == 0, (scale, cmd, result.output)
+                assert cmd == "hyperdet" or payload["name"] == unit, (scale, cmd)
+            else:
+                assert (result.exit_code, payload["error"]) == (2, "DocumentInvalid"), (scale, cmd)

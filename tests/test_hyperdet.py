@@ -298,18 +298,30 @@ def test_pair_kernels_match_independent_references(state):
         assert type(fast) is GR and fast == as_exact(ext)
 
 
+#: A Det = 0 representative per format; its float pushes cancel in the invariants
+_DEGENERATE = {(2, 2): {(0, 0): 1}, (2, 2, 2): {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1},
+               (3, 2, 2): {(0, 0, 0): 1, (1, 0, 1): 1, (2, 1, 1): 1},
+               (2, 2, 2, 2): {(0, 0, 0, 1): 1, (0, 0, 1, 0): 1, (0, 1, 0, 0): 1, (1, 0, 0, 0): 1}}
+
+
 @_props
-@given(st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]), st.integers(0, 2**32 - 1))
-def test_float_invariants_match_the_exact_value_of_the_same_input(fmt, seed):
-    # a float is a dyadic rational, so Fraction reads the same input exactly
+@given(st.sampled_from(sorted(DEGREES)), st.integers(0, 2**32 - 1), st.booleans())
+def test_float_invariants_match_the_exact_value_of_the_same_input(fmt, seed, pushed):
+    # a float is a dyadic rational, so Fraction reads the same input exactly; each float invariant
+    # is the float nearest that exact value, real and imaginary part each (complex() rounds once)
     state = random_state(fmt, seed)
+    if pushed:
+        rng = np.random.default_rng(seed)
+        ops = local_operators([(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))).tolist() for d in fmt])
+        state = apply_local(from_terms(fmt, _DEGENERATE[fmt], field_tag="float"), ops)
     shadow = exact_state(fmt, [GR(Fraction(a.real), Fraction(a.imag)) for a in state.amplitudes])
-    value, exact = hyperdet(state).value, complex(hyperdet(shadow).value)
-    assert type(value) is complex and abs(value - exact) <= 1e-10 * abs(exact)
-    if fmt != (3, 2, 2):
-        # the pencil coefficients against the largest of them
-        coeffs, reference = binary_form_coeffs(state).coeffs, [complex(c) for c in binary_form_coeffs(shadow).coeffs]
-        assert max(abs(c - r) for c, r in zip(coeffs, reference)) <= 1e-10 * max(map(abs, reference))
+    values = [(hyperdet(state).value, hyperdet(shadow).value)]
+    if fmt == (3, 2, 2):
+        values += zip(minors322(state), minors322(shadow))
+    elif fmt != (2, 2):
+        values += zip(binary_form_coeffs(state).coeffs, binary_form_coeffs(shadow).coeffs)
+    for value, exact in values:
+        assert type(value) is complex and value == complex(exact)
 
 
 def test_float_det4_reads_its_coefficients_exactly(rng):
