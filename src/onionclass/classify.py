@@ -320,18 +320,19 @@ def canonicalize_3qubit(state: StateTensor, tol: float = DEFAULT_TOL):
     Returns (ops, label) with apply_local(state, ops) proportional to representative(label).  In exact
     mode the result is exactly proportional; the class whose pencil discriminant is not a perfect square
     is handled in the quadratic extension of the Gaussian rationals, so returned operator entries may be
-    extension scalars.  Float operators are built from 2^-e times the state (exactly; e the binary
-    exponent of its largest real or imaginary part), so they stay in the float range at every scale.
+    extension scalars.  Float operators are built from 2^-e times the state, e = frexp(max|a|)[1]
+    (exactly; the identity when max|a| is in [0.5, 1)), so they stay in the float range at every scale.
     A tolerance that is not finite and nonnegative raises DocumentInvalid.
     """
     check_tol(tol)
     if state.format != (2, 2, 2):
         raise WrongFormat(f"expected format (2, 2, 2), got {state.format}")
     label = classify(state, tol)
-    if not is_exact(state.amplitudes[0]):
-        e = math.frexp(max(max(abs(a.real), abs(a.imag)) for a in state.amplitudes))[1]  # |a| may pass the range
+    if not is_exact(state.amplitudes[0]):  # e = frexp(max|a|)[1], from the largest part as |a| may overflow
+        e = math.frexp(max(max(abs(a.real), abs(a.imag)) for a in state.amplitudes))[1]
+        e += max(abs(complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e))) for a in state.amplitudes) >= 1
         amps = tuple(complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in state.amplitudes)
-        state = StateTensor(state.format, amps, state.field_tag)
+        state = StateTensor(state.format, amps, state.field_tag) if e else state
     if label.name == "S":
         ops = [_send_to_e0(_rank1_factors(flatten(state, [p]))[0]) for p in range(3)]
     elif label.name.startswith("B"):

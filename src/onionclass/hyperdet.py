@@ -79,21 +79,25 @@ def pairing(state: StateTensor, x: ProductVector):
 def _det(state: StateTensor, kernel, k: int = 1):
     """The hyperdeterminant kernel(pairs) / k, of degree DEGREES[format] (always even), in the state's field.
 
-    A float state keeps (StateTensor.cached) the ratio |Det| / max|a|**degree of its zero test, |p| / (k
-    m**(degree/2)) with m = max(x^2 + y^2): the power of two under the pairs cancels, so it is always finite.
+    A float state keeps (StateTensor.cached) its zero test's ratio q = |Det| / max|a|**degree = |p| / (k
+    m**(degree/2)), m = max(x^2 + y^2): the power of two under the pairs cancels, and the quotient is taken
+    near 1 and scaled by 2**j, so q is finite at every scale and 0 only when p is (tiny: the least float).
     """
     pairs, back = _pairs(state.amplitudes)
     p, degree = kernel(pairs), DEGREES[state.format]
     if state.field_tag == FLOAT:
-        n, m = p[0] * p[0] + p[1] * p[1], max(x * x + y * y for x, y in pairs)
-        state.cached("det ratio", lambda s: math.sqrt(n / (k * k * m ** degree)))
+        n, dq = p[0] * p[0] + p[1] * p[1], k * k * max(x * x + y * y for x, y in pairs) ** degree
+        j = (n.bit_length() - dq.bit_length()) // 2  # q**2 = n / dq
+        q = math.ldexp(math.sqrt((n << max(-2 * j, 0)) / (dq << max(2 * j, 0))), j)
+        state.cached("det ratio", lambda s: max(q, math.ulp(0.0)) if n else 0.0)
     return back(p, degree, k)
 
 
 def det2(state: StateTensor):
-    """Ordinary 2x2 determinant a00 a11 - a01 a10."""
+    """Ordinary 2x2 determinant a00 a11 - a01 a10; exact scalars multiply as they stand, floats round once."""
     _require_format(state, (2, 2))
-    return _det(state, lambda a: _pdet(*a))
+    a = state.amplitudes
+    return _det(state, lambda p: _pdet(*p)) if state.field_tag == FLOAT else a[0] * a[3] - a[1] * a[2]
 
 
 def det3(state: StateTensor):
@@ -354,8 +358,8 @@ def _evaluate(state: StateTensor) -> HyperdetResult:
     # built per call, so it holds det2 to det4 as bound now (wrapped ones, when traced)
     formula = {(2, 2): det2, (2, 2, 2): det3, (3, 2, 2): det322, (2, 2, 2, 2): det4}.get(fmt)
     if formula is not None:
-        value = formula(state)  # keeps a float state's ratio (_det); an exact state has none
-        return HyperdetResult(True, value, DEGREES[fmt], fmt, state.cached("det ratio", lambda s: None))
+        # formula(state) runs first and keeps a float state's ratio (_det); an exact state has none
+        return HyperdetResult(True, formula(state), DEGREES[fmt], fmt, state.cached("det ratio", lambda s: None))
     ks = sorted((d - 1 for d in fmt), reverse=True)
     if len(ks) >= 2 and ks[0] > sum(ks[1:]):
         unit = GaussianRational(1) if state.field_tag == EXACT else 1.0 + 0j

@@ -243,6 +243,37 @@ def test_canonicalize_float_root_near_infinity(rng):
         assert np.abs(out - fitted).max() / np.abs(out).max() <= 1e-12
 
 
+#: Float canonical operators of states with max|a| in [0.5, 1), where 2^-e is 1: the state is used as given
+_UNIT_SCALE_OPERATORS = [
+    ({(0, 0, 0): 0.375 + 0.375j, (1, 1, 1): 0.25, (0, 1, 1): 0.25}, "GHZ",
+     "((((-0.1875-0.1875j), (0.1875+0.1875j)), (0j, (-0.1875-0.1875j))), (((-0+7.111111111111111j), (-0+0j)), "
+     "((-0+0j), (-10.666666666666666+10.666666666666666j))), (((1+0j), 0j), (0j, (1+0j))))"),
+    ({(0, 1, 1): 0.5, (1, 0, 1): 0.5, (1, 1, 0): 0.5, (1, 1, 1): 0.75}, "W",
+     "((((-1.5+0j), (1+0j)), ((2+0j), 0j)), ((0j, (1+0j)), ((2+0j), 0j)), ((0j, (1+0j)), ((2+0j), 0j)))"),
+    ({(0, 0, 0): 0.375 + 0.375j, (0, 1, 1): -0.25j}, "B1",
+     "((((1.3333333333333333-1.3333333333333333j), 0j), ((-0+0j), (1+0j))), ((-0j, (-1.5+1.5j)), "
+     "((1-0j), -0j)), (((1+0j), 0j), (0j, (1+0j))))"),
+]
+
+
+@pytest.mark.parametrize("terms, name, operators", _UNIT_SCALE_OPERATORS)
+def test_canonicalize_float_unit_scale_operators_are_unchanged(terms, name, operators):
+    ops, label = canonicalize_3qubit(from_terms((2, 2, 2), terms, field_tag="float"))
+    assert (label.name, repr(ops.operators)) == (name, operators)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(class_catalog(QUBIT3))), st.integers(0, 2**32 - 1),
+       st.sampled_from([sign * k for k in (1, 40, 300, 1000) for sign in (1, -1)]))
+def test_canonicalize_float_operators_ignore_a_power_of_two_scale(name, seed, k):
+    # the operators are built from 2^-e times the state, so 2^k times it gives them bit for bit
+    rep = to_float(class_catalog(QUBIT3)[name])
+    state = apply_local(rep, _random_complex_ops(np.random.default_rng(seed), (2, 2, 2)))
+    scaled = float_state((2, 2, 2), [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in state.amplitudes])
+    (ops, label), (unit_ops, unit) = canonicalize_3qubit(scaled), canonicalize_3qubit(state)
+    assert (label, repr(ops.operators)) == (unit, repr(unit_ops.operators))
+
+
 def test_canonicalize_extension_field_output():
     # a GHZ-class state whose pencil discriminant is not a perfect square
     from onionclass import QuadExt, det3
@@ -384,6 +415,20 @@ def test_float_label_holds_at_every_power_of_two_scale(entry, seed, k):
     label, unit = classify(scaled), classify(pushed)
     assert (label.name, label.local_ranks, label.diagnostics["boundary_warning"]) == (
         unit.name, unit.local_ranks, unit.diagnostics["boundary_warning"])
+
+
+@pytest.mark.parametrize("state, ratio, generic, degenerate", [
+    pytest.param(float_state((2, 2, 2), [0, 1, 1, 0, 1, 0, 0, math.ldexp(1.0, -e)]), math.ldexp(4.0, -e), "GHZ", "W",
+                 id=f"W+2^-{e}") for e in (600, 1000)] + [
+    pytest.param(generic4_state(1.0, 0.5, 0.25, math.ldexp(1.0, -300), "float"), pytest.approx(1.0656631850112581e-184),
+                 "GENERIC4", "DEGENERATE4", id="GENERIC4-2^-300"),
+    pytest.param(generic4_state(1.0, 0.5, 0.25, math.ldexp(1.0, -600), "float"), math.ulp(0.0),
+                 "GENERIC4", "DEGENERATE4", id="GENERIC4-2^-600")])
+def test_tiny_nonzero_invariant_is_nonzero_at_tol_0(state, ratio, generic, degenerate):
+    # |Det| / max|a|^degree is 4 * 2^-e for W + 2^-e |111> and about 2^-2e for the generic4 family, below the
+    # float range when squared, or at 2^-1200 itself (it reads as the least float): at tol 0 only 0 is zero
+    assert hyperdet(state).ratio == ratio
+    assert (classify(state, 0).name, classify(state).name) == (generic, degenerate)
 
 
 @pytest.mark.parametrize("entry, exact", [
